@@ -108,12 +108,12 @@ struct DaySample {
 /// opening the source to getting labels back.
 fn label_day(
     pipeline: &OnlinePipeline,
-    day: &DayInput,
+    input: &DayInput,
     warm: Option<&mut WarmState>,
 ) -> Result<(OnlineReport, DaySample), SourceError> {
-    let staged = day.stage();
+    let staged = input.clone();
     let opened = Instant::now();
-    let mut source = ClockedSource::new(NoRewindSource::new(day.open(staged)?));
+    let mut source = ClockedSource::new(NoRewindSource::new(staged.open()?));
     let report = pipeline.run_warm(&mut source, warm)?;
     let done = Instant::now();
     let (inner, clock) = source.into_parts();
@@ -153,12 +153,13 @@ impl DaySample {
     }
 }
 
-/// The timed phase: each day is labeled back to back, once and then
-/// as often as its share of the remaining budget allows (a zero
-/// budget is one untraced pass). A day's
-/// figures are the medians over its repeats, so every day counts once
-/// in the percentiles whatever the host's speed. On a warm workload
-/// every repeat starts from the state the previous day left.
+/// The timed phase: each day is loaded (untimed; only that day's
+/// input is resident), then labeled back to back, once and then as
+/// often as its share of the remaining budget allows (a zero budget
+/// is one untraced pass). A day's figures are the medians over its
+/// repeats, so every day counts once in the percentiles whatever the
+/// host's speed. On a warm workload every repeat starts from the
+/// state the previous day left.
 ///
 /// Returns a sample per day, the repeats per day, and the alarms and
 /// communities of one labeling of every day.
@@ -175,13 +176,22 @@ fn measure(
     let mut found = [0; 2];
     for (d, day) in inputs.days.iter().enumerate() {
         let slice = budget.saturating_sub(start.elapsed()) / (inputs.days.len() - d) as u32;
+        let input = match day.load() {
+            Ok(input) => input,
+            Err(e) => {
+                eprintln!("{}: input failed to load: {e}", day.date);
+                views[d].push(None);
+                reps.push(0);
+                continue;
+            }
+        };
         let before = warm.clone();
         let started = Instant::now();
         let mut runs = Vec::new();
         let mut n: u32 = 0;
         while n == 0 || started.elapsed() * (n + 1) / n <= slice {
             let mut state = before.clone();
-            match label_day(pipeline, day, state.as_mut()) {
+            match label_day(pipeline, &input, state.as_mut()) {
                 Ok((report, sample)) => {
                     if n == 0 {
                         found[0] += report.report.communities.alarms.len();
@@ -252,6 +262,15 @@ fn main() -> ExitCode {
         return ExitCode::from(1);
     };
     let budget = Duration::from_secs_f64(args.seconds);
+    if !args.trace {
+        // Restart the peak-RSS mark so `peak_rss_mb` covers labeling
+        // only, not the set-up repetitions.
+        if let Err(e) = std::fs::write("/proc/self/clear_refs", "5") {
+            eprintln!("labeling: cannot reset the peak-RSS mark: {e}");
+            inputs.cleanup();
+            return ExitCode::from(1);
+        }
+    }
 
     let mut result = BenchResult::default();
     let mut context = Vec::new();
@@ -259,16 +278,27 @@ fn main() -> ExitCode {
     if !args.trace {
         let (samples, reps, [alarms, communities]) =
             measure(&pipeline, &inputs, budget, &mut views);
-        let peak_rss_mb = mawilab_bench::harness::peak_rss_kb().unwrap_or(0) as f64 / 1024.0;
+        let Some(peak_rss_kb) = mawilab_bench::harness::peak_rss_kb() else {
+            eprintln!("labeling: VmHWM is unreadable");
+            inputs.cleanup();
+            return ExitCode::from(1);
+        };
+        let peak_rss_mb = peak_rss_kb as f64 / 1024.0;
 
         let packets: u64 = samples.iter().map(|s| s.packets).sum();
         let wall: f64 = samples.iter().map(|s| s.day_s).sum();
         let days: Vec<f64> = samples.iter().map(|s| s.day_s).collect();
         let finals: Vec<f64> = samples.iter().map(|s| s.finalize_s).collect();
-        let chunks: Vec<f64> = samples
-            .iter()
-            .flat_map(|s| s.chunk_s.iter().map(|c| c * 1e3))
-            .collect();
+        // Each day's chunk quantile, then the median over the days: a
+        // pooled tail would hinge on the few chunks of one input.
+        let chunk_ms = |q| {
+            let per_day: Vec<f64> = samples
+                .iter()
+                .map(|s| percentile(&s.chunk_s, q) * 1e3)
+                .collect();
+            percentile(&per_day, 0.5)
+        };
+        let chunk_samples: usize = samples.iter().map(|s| s.chunk_s.len()).sum();
         result
             .metrics
             .push(Metric::new("packets_per_s", packets as f64 / wall, "1/s"));
@@ -283,10 +313,10 @@ fn main() -> ExitCode {
             .push(Metric::new("finalize_s_p50", percentile(&finals, 0.5), "s"));
         result
             .metrics
-            .push(Metric::new("chunk_ms_p50", percentile(&chunks, 0.5), "ms"));
+            .push(Metric::new("chunk_ms_p50", chunk_ms(0.5), "ms"));
         result
             .metrics
-            .push(Metric::new("chunk_ms_p90", percentile(&chunks, 0.9), "ms"));
+            .push(Metric::new("chunk_ms_p90", chunk_ms(0.9), "ms"));
         result
             .metrics
             .push(Metric::new("peak_rss_mb", peak_rss_mb, "MB"));
@@ -294,7 +324,7 @@ fn main() -> ExitCode {
             .metrics
             .push(Metric::new("setup_s", percentile(&setup_s, 0.5), "s"));
         context.push(("day_samples", days.len().to_string()));
-        context.push(("chunk_samples", chunks.len().to_string()));
+        context.push(("chunk_samples", chunk_samples.to_string()));
         context.push((
             "reps_per_day_min",
             reps.iter().min().unwrap_or(&0).to_string(),
@@ -352,6 +382,10 @@ fn main() -> ExitCode {
     context.push(("exec_threads", mawilab_exec::thread_count().to_string()));
     context.push(("MAWILAB_THREADS", env_or_unset("MAWILAB_THREADS")));
     context.push(("MALLOC_ARENA_MAX", env_or_unset("MALLOC_ARENA_MAX")));
+    context.push((
+        "MALLOC_MMAP_THRESHOLD_",
+        env_or_unset("MALLOC_MMAP_THRESHOLD_"),
+    ));
     context.push(("setup_reps", SETUP_REPS.to_string()));
     println!("{}", labeling::report::context_json(&context));
     println!("{}", result.to_json());

@@ -9,7 +9,7 @@
 //! step.
 
 use super::view;
-use super::workload::{DayInput, Inputs};
+use super::workload::{Day, DayInput, Inputs};
 use mawilab_bench::archive::DEFAULT_WARM_DECAY;
 use mawilab_combiner::{label_confidences, VoteTable};
 use mawilab_core::{MawilabPipeline, PipelineConfig, WarmState};
@@ -19,7 +19,7 @@ use mawilab_model::{FlowTable, Trace};
 use mawilab_similarity::extract_traffic;
 
 /// The oracle's label view of every day; `None` where the input
-/// could not be read back. Cold days are independent, so they fan out
+/// could not be loaded. Cold days are independent, so they fan out
 /// over the days.
 pub fn views(config: &PipelineConfig, inputs: &Inputs) -> Vec<Option<u64>> {
     if inputs.warm {
@@ -41,8 +41,9 @@ pub fn views(config: &PipelineConfig, inputs: &Inputs) -> Vec<Option<u64>> {
     })
 }
 
-fn whole_trace(day: &DayInput) -> Option<Trace> {
-    day.whole_trace()
+fn whole_trace(day: &Day) -> Option<Trace> {
+    day.load()
+        .and_then(DayInput::into_trace)
         .map_err(|e| eprintln!("{}: oracle input unreadable: {e}", day.date))
         .ok()
 }

@@ -197,15 +197,15 @@ pub fn replay_pass(
     let views = inputs
         .days
         .iter()
-        .map(
-            |day| match replay_day(pipeline.config(), day, warm.as_mut(), layers) {
-                Ok(v) => Some(v),
-                Err(e) => {
-                    eprintln!("{}: traced replay failed: {e}", day.date);
-                    None
-                }
-            },
-        )
+        .map(|day| {
+            let replayed = day.load().and_then(|input| {
+                replay_day(pipeline.config(), &input, warm.as_mut(), layers)
+                    .map_err(|e| e.to_string())
+            });
+            replayed
+                .map_err(|e| eprintln!("{}: traced replay failed: {e}", day.date))
+                .ok()
+        })
         .collect();
     if let Some(w) = &warm {
         layers.seeded_days += w.seeded_days() as f64;
@@ -216,11 +216,11 @@ pub fn replay_pass(
 /// One day of `OnlinePipeline::run_warm`, layer by layer.
 fn replay_day(
     config: &PipelineConfig,
-    day: &DayInput,
+    input: &DayInput,
     mut warm: Option<&mut WarmState>,
     l: &mut Layers,
 ) -> Result<u64, SourceError> {
-    let mut source = day.open(day.stage())?;
+    let mut source = input.clone().open()?;
     let meta = source.meta().clone();
 
     if let Some(w) = warm.as_deref_mut() {

@@ -5,7 +5,7 @@ use mawilab_model::{
     PacketChunk, PacketSource, SourceError, StreamingPcapReader, Trace, TraceChunker, TraceDate,
     TraceMeta, DEFAULT_CHUNK_US,
 };
-use mawilab_synth::{AnomalySpec, ArchiveConfig, ArchiveSimulator, TraceGenerator};
+use mawilab_synth::{AnomalySpec, ArchiveConfig, ArchiveSimulator, SynthConfig, TraceGenerator};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -50,25 +50,28 @@ impl Workload {
         }
     }
 
-    /// Generates the workload's inputs from `seed`; the pcap file of
-    /// `pcap-flood` is written under `work_dir`.
+    /// Prepares the workload's days from `seed`. Every day is
+    /// generated once here: an archive day to learn its size (it is
+    /// dropped again and regenerated when labeled, so only the day in
+    /// use is resident), a flood day to write its pcap file under
+    /// `work_dir`.
     pub fn setup(self, seed: u64, work_dir: &Path) -> Result<Inputs, String> {
         match self {
             Workload::ArchiveCold | Workload::ArchiveWarm => {
-                let sim = ArchiveSimulator::new(ArchiveConfig {
-                    base_seed: seed,
-                    scale: 1.0,
-                    ..ArchiveConfig::default()
-                });
+                let duration_s = ArchiveConfig::default().duration_s;
                 let days = TraceDate::new(2006, 6, 1)
                     .consecutive(ARCHIVE_DAYS)
                     .into_iter()
                     .map(|date| {
-                        let trace = sim.generate(date).trace;
-                        DayInput {
+                        let config = day_config(seed, date, duration_s);
+                        Day {
                             date,
-                            meta: trace.meta.clone(),
-                            data: DayData::Memory(trace),
+                            packets: TraceGenerator::new(config.clone())
+                                .generate()
+                                .trace
+                                .packets
+                                .len(),
+                            origin: Origin::Archive(config),
                         }
                     })
                     .collect();
@@ -90,17 +93,19 @@ impl Workload {
     }
 }
 
-/// One 900 s flood day written to a pcap file. The seed drives every
-/// random stream of the day (hosts, timing, placement, the background
-/// mix); the day's size — background rate and anomaly list — is the
-/// default archive's, so seeds do not change how much traffic the day
-/// holds.
-fn flood_day(seed: u64, date: TraceDate, work_dir: &Path) -> Result<DayInput, String> {
+/// One scale-1 archive day's generator configuration. The seed (as
+/// `ArchiveConfig::base_seed`) drives every random stream of the day
+/// (hosts, timing, placement, the background mix); the day's size —
+/// background rate and anomaly list — is the default archive's, so
+/// seeds do not change how much traffic the day holds, and a run's
+/// figures (the peak RSS above all, set by the largest day) do not
+/// follow which days a seed made large.
+fn day_config(seed: u64, date: TraceDate, duration_s: u32) -> SynthConfig {
     let day = |base_seed| {
         ArchiveSimulator::new(ArchiveConfig {
             base_seed,
             scale: 1.0,
-            duration_s: 900,
+            duration_s,
         })
         .config_for(date)
     };
@@ -108,6 +113,13 @@ fn flood_day(seed: u64, date: TraceDate, work_dir: &Path) -> Result<DayInput, St
     let mut config = day(seed);
     config.background_pps = shape.background_pps;
     config.anomalies = shape.anomalies;
+    config
+}
+
+/// One 900 s flood day written to a pcap file: an archive day with a
+/// one-packet-per-flow sweep and a port scan added.
+fn flood_day(seed: u64, date: TraceDate, work_dir: &Path) -> Result<Day, String> {
+    let mut config = day_config(seed, date, 900);
     let mut mix = seed
         .wrapping_add(date.days_since_epoch() as u64)
         .wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -131,26 +143,62 @@ fn flood_day(seed: u64, date: TraceDate, work_dir: &Path) -> Result<DayInput, St
     let mut w = BufWriter::new(File::create(&path).map_err(|e| e.to_string())?);
     write_pcap(&mut w, &trace).map_err(|e| e.to_string())?;
     w.flush().map_err(|e| e.to_string())?;
-    Ok(DayInput {
+    Ok(Day {
         date,
-        meta: trace.meta.clone(),
-        data: DayData::Pcap(path),
+        packets: trace.packets.len(),
+        origin: Origin::Pcap {
+            path,
+            meta: trace.meta.clone(),
+        },
     })
 }
 
-/// Where a day's packets live.
-pub enum DayData {
-    /// Generated into memory; fed through `TraceChunker`.
-    Memory(Trace),
-    /// Written to a pcap file; fed through `StreamingPcapReader`.
-    Pcap(PathBuf),
+/// Where a day comes from.
+enum Origin {
+    /// Generated into memory whenever it is loaded.
+    Archive(SynthConfig),
+    /// The pcap file written at set-up.
+    Pcap { path: PathBuf, meta: TraceMeta },
 }
 
 /// One day of a workload.
-pub struct DayInput {
+pub struct Day {
     pub date: TraceDate,
-    pub meta: TraceMeta,
-    pub data: DayData,
+    /// Packets in the day, as generated at set-up.
+    packets: usize,
+    origin: Origin,
+}
+
+impl Day {
+    /// The day's input, outside every timed region. An archive day is
+    /// generated anew and must come out as it did at set-up.
+    pub fn load(&self) -> Result<DayInput<'_>, String> {
+        let input = match &self.origin {
+            Origin::Archive(config) => {
+                DayInput::Memory(TraceGenerator::new(config.clone()).generate().trace)
+            }
+            Origin::Pcap { path, meta } => DayInput::Pcap { path, meta },
+        };
+        match &input {
+            DayInput::Memory(trace) if trace.packets.len() != self.packets => Err(format!(
+                "regenerated with {} packets, {} at set-up",
+                trace.packets.len(),
+                self.packets
+            )),
+            _ => Ok(input),
+        }
+    }
+}
+
+/// A day's input, loaded. A labeling opens its source from a clone,
+/// made before the timed open: `TraceChunker` takes ownership of an
+/// in-memory day.
+#[derive(Clone)]
+pub enum DayInput<'a> {
+    /// Generated into memory; fed through `TraceChunker`.
+    Memory(Trace),
+    /// Written to a pcap file; fed through `StreamingPcapReader`.
+    Pcap { path: &'a Path, meta: &'a TraceMeta },
 }
 
 /// A day's source, opened.
@@ -159,45 +207,35 @@ pub enum DaySource {
     Pcap(StreamingPcapReader<BufReader<File>>),
 }
 
-impl DayInput {
-    /// The benchmark's own preparation before the timed open: the
-    /// copy of an in-memory day that `TraceChunker` takes ownership
-    /// of.
-    pub fn stage(&self) -> Option<Trace> {
-        match &self.data {
-            DayData::Memory(trace) => Some(trace.clone()),
-            DayData::Pcap(_) => None,
-        }
-    }
-
-    /// Opens the day's source at the default 5 s chunk width.
-    pub fn open(&self, staged: Option<Trace>) -> Result<DaySource, SourceError> {
-        match (&self.data, staged) {
-            (DayData::Memory(trace), staged) => Ok(DaySource::Memory(TraceChunker::try_new(
-                staged.unwrap_or_else(|| trace.clone()),
-                DEFAULT_CHUNK_US,
-            )?)),
-            (DayData::Pcap(path), _) => {
-                let file = File::open(path).map_err(PcapError::from)?;
-                Ok(DaySource::Pcap(StreamingPcapReader::new(
-                    BufReader::new(file),
-                    self.meta.clone(),
-                    DEFAULT_CHUNK_US,
-                )?))
+impl DayInput<'_> {
+    /// The whole day as one trace, for the batch oracle: the pcap is
+    /// read back, so the oracle sees exactly what the stream saw.
+    pub fn into_trace(self) -> Result<Trace, String> {
+        match self {
+            DayInput::Memory(trace) => Ok(trace),
+            DayInput::Pcap { path, meta } => {
+                let file = File::open(path).map_err(|e| e.to_string())?;
+                let (trace, _skipped) =
+                    read_pcap(BufReader::new(file), meta.clone()).map_err(|e| e.to_string())?;
+                Ok(trace)
             }
         }
     }
 
-    /// The whole day as one trace, for the batch oracle: the pcap is
-    /// read back, so the oracle sees exactly what the stream saw.
-    pub fn whole_trace(&self) -> Result<Trace, String> {
-        match &self.data {
-            DayData::Memory(trace) => Ok(trace.clone()),
-            DayData::Pcap(path) => {
-                let file = File::open(path).map_err(|e| e.to_string())?;
-                let (trace, _skipped) = read_pcap(BufReader::new(file), self.meta.clone())
-                    .map_err(|e| e.to_string())?;
-                Ok(trace)
+    /// Opens the day's source at the default 5 s chunk width.
+    pub fn open(self) -> Result<DaySource, SourceError> {
+        match self {
+            DayInput::Memory(trace) => Ok(DaySource::Memory(TraceChunker::try_new(
+                trace,
+                DEFAULT_CHUNK_US,
+            )?)),
+            DayInput::Pcap { path, meta } => {
+                let file = File::open(path).map_err(PcapError::from)?;
+                Ok(DaySource::Pcap(StreamingPcapReader::new(
+                    BufReader::new(file),
+                    meta.clone(),
+                    DEFAULT_CHUNK_US,
+                )?))
             }
         }
     }
@@ -235,7 +273,7 @@ impl PacketSource for DaySource {
 
 /// Everything a run labels.
 pub struct Inputs {
-    pub days: Vec<DayInput>,
+    pub days: Vec<Day>,
     /// Label the days through one carried `WarmState`.
     pub warm: bool,
 }
@@ -252,7 +290,7 @@ impl Inputs {
     /// Removes files written at set-up.
     pub fn cleanup(&self) {
         for day in &self.days {
-            if let DayData::Pcap(path) = &day.data {
+            if let Origin::Pcap { path, .. } = &day.origin {
                 let _ = std::fs::remove_file(path);
             }
         }

@@ -6,9 +6,8 @@
 
 Run from the repository root. Builds the `labeling` bench target of
 the `perfbench` package (into $CARGO_TARGET_DIR, default
-`.bench_build`), then runs it with one malloc arena
-(MALLOC_ARENA_MAX=1, so peak RSS repeats) and MAWILAB_THREADS set to
-the CPUs this process may use. The last stdout line is the JSON
+`.bench_build`), then runs it with a fixed glibc heap policy (see
+MALLOC_ENV) and MAWILAB_THREADS set to the CPUs this process may use. The last stdout line is the JSON
 result; the line before it records the run context.
 """
 
@@ -26,6 +25,11 @@ RUN_TIMEOUT_S = 170
 # Files whose contents define the program under test.
 SOURCE_DIRS = ("crates", "vendor", "perfbench")
 SOURCE_FILES = ("Cargo.toml", "Cargo.lock")
+# One arena, and large blocks always mapped and unmapped (the glibc
+# default threshold, with its dynamic raising turned off), so the
+# peak RSS follows live data and repeats between runs instead of
+# following how two threads happened to fragment the heap.
+MALLOC_ENV = {"MALLOC_ARENA_MAX": "1", "MALLOC_MMAP_THRESHOLD_": "131072"}
 
 
 def source_digest():
@@ -106,7 +110,7 @@ def main():
         return 3
 
     threads = len(os.sched_getaffinity(0))
-    run_env = dict(env, MALLOC_ARENA_MAX="1", MAWILAB_THREADS=str(threads))
+    run_env = dict(env, MAWILAB_THREADS=str(threads), **MALLOC_ENV)
     cmd = [exe,
            "--workload", args.workload,
            "--seed", str(args.seed),
