@@ -15,8 +15,9 @@ use std::path::{Path, PathBuf};
 pub const ARCHIVE_DAYS: usize = 61;
 /// Consecutive flood days from 2004-06-02. One day's cost swings
 /// with its seed (Gamma's alarm count alone varies threefold between
-/// seeds), so a run labels several to keep its medians steady.
-pub const FLOOD_DAYS: usize = 4;
+/// seeds), so a run labels several and reports medians over them;
+/// three keep a flood run, oracle included, near 40 s.
+pub const FLOOD_DAYS: usize = 3;
 /// Targets of each flood day's one-packet-per-flow Sasser sweep.
 pub const FLOOD_SWEEP_TARGETS: usize = 200_000;
 /// Ports of each flood day's vertical scan.
