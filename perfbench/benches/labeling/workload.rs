@@ -15,13 +15,18 @@ use std::path::{Path, PathBuf};
 pub const ARCHIVE_DAYS: usize = 61;
 /// Consecutive flood days from 2004-06-02. One day's cost swings
 /// with its seed (Gamma's alarm count alone varies threefold between
-/// seeds), so a run labels several and reports medians over them;
-/// three keep a flood run, oracle included, near 40 s.
-pub const FLOOD_DAYS: usize = 3;
-/// Targets of each flood day's one-packet-per-flow Sasser sweep.
-pub const FLOOD_SWEEP_TARGETS: usize = 200_000;
-/// Ports of each flood day's vertical scan.
-pub const FLOOD_SCAN_PORTS: u16 = 60_000;
+/// seeds), so a run labels many short days and reports medians over
+/// them, which rest on many days rather than on whichever single day
+/// comes out in the middle. Nine 300 s days keep a flood run, oracle
+/// included, near 30 s.
+pub const FLOOD_DAYS: usize = 9;
+/// Length of each flood day.
+pub const FLOOD_DAY_S: u32 = 300;
+/// Targets of each flood day's one-packet-per-flow Sasser sweep: at
+/// 250 packets/s it runs for most of the day.
+pub const FLOOD_SWEEP_TARGETS: usize = 67_000;
+/// Ports of each flood day's vertical scan, at 80 packets/s.
+pub const FLOOD_SCAN_PORTS: u16 = 20_000;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
@@ -29,7 +34,7 @@ pub enum Workload {
     ArchiveCold,
     /// The same days through one warm state.
     ArchiveWarm,
-    /// 900 s days with a scan flood, ingested from pcap files.
+    /// 300 s days with a scan flood, ingested from pcap files.
     PcapFlood,
 }
 
@@ -117,10 +122,10 @@ fn day_config(seed: u64, date: TraceDate, duration_s: u32) -> SynthConfig {
     config
 }
 
-/// One 900 s flood day written to a pcap file: an archive day with a
+/// One flood day written to a pcap file: an archive day with a
 /// one-packet-per-flow sweep and a port scan added.
 fn flood_day(seed: u64, date: TraceDate, work_dir: &Path) -> Result<Day, String> {
-    let mut config = day_config(seed, date, 900);
+    let mut config = day_config(seed, date, FLOOD_DAY_S);
     let mut mix = seed
         .wrapping_add(date.days_since_epoch() as u64)
         .wrapping_mul(0x9E37_79B9_7F4A_7C15);
