@@ -34,7 +34,7 @@ mod labeling {
 }
 
 use labeling::clock::ClockedSource;
-use labeling::report::{percentile, BenchResult, Metric};
+use labeling::report::{harrell_davis, percentile, BenchResult, Metric};
 use labeling::workload::{DayInput, Inputs, Workload};
 use labeling::{oracle, replay, view};
 use mawilab_bench::archive::DEFAULT_WARM_DECAY;
@@ -289,34 +289,36 @@ fn main() -> ExitCode {
         let wall: f64 = samples.iter().map(|s| s.day_s).sum();
         let days: Vec<f64> = samples.iter().map(|s| s.day_s).collect();
         let finals: Vec<f64> = samples.iter().map(|s| s.finalize_s).collect();
-        // Each day's chunk quantile, then the median over the days: a
-        // pooled tail would hinge on the few chunks of one input.
-        let chunk_ms = |q| {
-            let per_day: Vec<f64> = samples
-                .iter()
-                .map(|s| percentile(&s.chunk_s, q) * 1e3)
-                .collect();
-            percentile(&per_day, 0.5)
-        };
-        let chunk_samples: usize = samples.iter().map(|s| s.chunk_s.len()).sum();
+        // Every chunk of every day: the days of a workload are alike in
+        // size, so no single input sets the tail.
+        let chunks: Vec<f64> = samples
+            .iter()
+            .flat_map(|s| s.chunk_s.iter().map(|c| c * 1e3))
+            .collect();
         result
             .metrics
             .push(Metric::new("packets_per_s", packets as f64 / wall, "1/s"));
         result
             .metrics
-            .push(Metric::new("day_s_p50", percentile(&days, 0.5), "s"));
+            .push(Metric::new("day_s_p50", harrell_davis(&days, 0.5), "s"));
         result
             .metrics
-            .push(Metric::new("day_s_p80", percentile(&days, 0.8), "s"));
-        result
-            .metrics
-            .push(Metric::new("finalize_s_p50", percentile(&finals, 0.5), "s"));
-        result
-            .metrics
-            .push(Metric::new("chunk_ms_p50", chunk_ms(0.5), "ms"));
-        result
-            .metrics
-            .push(Metric::new("chunk_ms_p90", chunk_ms(0.9), "ms"));
+            .push(Metric::new("day_s_p80", harrell_davis(&days, 0.8), "s"));
+        result.metrics.push(Metric::new(
+            "finalize_s_p50",
+            harrell_davis(&finals, 0.5),
+            "s",
+        ));
+        result.metrics.push(Metric::new(
+            "chunk_ms_p50",
+            harrell_davis(&chunks, 0.5),
+            "ms",
+        ));
+        result.metrics.push(Metric::new(
+            "chunk_ms_p90",
+            harrell_davis(&chunks, 0.9),
+            "ms",
+        ));
         result
             .metrics
             .push(Metric::new("peak_rss_mb", peak_rss_mb, "MB"));
@@ -324,7 +326,7 @@ fn main() -> ExitCode {
             .metrics
             .push(Metric::new("setup_s", percentile(&setup_s, 0.5), "s"));
         context.push(("day_samples", days.len().to_string()));
-        context.push(("chunk_samples", chunk_samples.to_string()));
+        context.push(("chunk_samples", chunks.len().to_string()));
         context.push((
             "reps_per_day_min",
             reps.iter().min().unwrap_or(&0).to_string(),

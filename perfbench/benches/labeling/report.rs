@@ -97,3 +97,97 @@ pub fn percentile(values: &[f64], q: f64) -> f64 {
     let hi = pos.ceil() as usize;
     v[lo] + (v[hi] - v[lo]) * (pos - lo as f64)
 }
+
+/// Harrell-Davis estimate of the `q`-quantile of `values` (0 when
+/// empty): a mean of every order statistic, weighted by how likely
+/// each is to be the quantile under a Beta(q(n+1), (1-q)(n+1))
+/// law. A single interpolated order statistic swings with whichever
+/// sample lands at its rank; on the archive days that rank sits
+/// between the cheaper pre-2006-07-01 days and the dearer later ones,
+/// where samples are sparse.
+pub fn harrell_davis(values: &[f64], q: f64) -> f64 {
+    if values.is_empty() {
+        return 0.0;
+    }
+    let mut v = values.to_vec();
+    v.sort_by(f64::total_cmp);
+    let n = v.len() as f64;
+    let (a, b) = (q * (n + 1.0), (1.0 - q) * (n + 1.0));
+    let mut below = 0.0;
+    let mut estimate = 0.0;
+    for (i, x) in v.iter().enumerate() {
+        let upto = beta_cdf(a, b, (i + 1) as f64 / n);
+        estimate += (upto - below) * x;
+        below = upto;
+    }
+    estimate
+}
+
+/// Regularized incomplete beta function I_x(a, b), by its continued
+/// fraction (modified Lentz), on the side where that converges fast.
+fn beta_cdf(a: f64, b: f64, x: f64) -> f64 {
+    if x <= 0.0 {
+        return 0.0;
+    }
+    if x >= 1.0 {
+        return 1.0;
+    }
+    let front =
+        (ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b) + a * x.ln() + b * (1.0 - x).ln()).exp();
+    if x < (a + 1.0) / (a + b + 2.0) {
+        front * beta_fraction(a, b, x) / a
+    } else {
+        1.0 - front * beta_fraction(b, a, 1.0 - x) / b
+    }
+}
+
+fn beta_fraction(a: f64, b: f64, x: f64) -> f64 {
+    const TINY: f64 = 1e-300;
+    let nonzero = |v: f64| if v.abs() < TINY { TINY } else { v };
+    let mut c = 1.0;
+    let mut d = 1.0 / nonzero(1.0 - (a + b) * x / (a + 1.0));
+    let mut h = d;
+    for m in 1..=300 {
+        let m = m as f64;
+        let even = m * (b - m) * x / ((a + 2.0 * m - 1.0) * (a + 2.0 * m));
+        d = 1.0 / nonzero(1.0 + even * d);
+        c = nonzero(1.0 + even / c);
+        h *= d * c;
+        let odd = -(a + m) * (a + b + m) * x / ((a + 2.0 * m) * (a + 2.0 * m + 1.0));
+        d = 1.0 / nonzero(1.0 + odd * d);
+        c = nonzero(1.0 + odd / c);
+        let step = d * c;
+        h *= step;
+        if (step - 1.0).abs() < 1e-14 {
+            break;
+        }
+    }
+    h
+}
+
+/// ln Γ(x) for x > 0 (Lanczos, g = 7).
+fn ln_gamma(x: f64) -> f64 {
+    const COEF: [f64; 9] = [
+        0.999_999_999_999_809_9,
+        676.520_368_121_885_1,
+        -1_259.139_216_722_402_8,
+        771.323_428_777_653_1,
+        -176.615_029_162_140_6,
+        12.507_343_278_686_905,
+        -0.138_571_095_265_720_12,
+        9.984_369_578_019_572e-6,
+        1.505_632_735_149_311_6e-7,
+    ];
+    if x < 0.5 {
+        // Reflection: Γ(x)Γ(1-x) = π / sin(πx).
+        let pi = std::f64::consts::PI;
+        return (pi / (pi * x).sin()).ln() - ln_gamma(1.0 - x);
+    }
+    let x = x - 1.0;
+    let t = x + 7.5;
+    let sum = COEF[1..]
+        .iter()
+        .enumerate()
+        .fold(COEF[0], |acc, (i, c)| acc + c / (x + (i + 1) as f64));
+    0.5 * (2.0 * std::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + sum.ln()
+}
