@@ -18,14 +18,15 @@
 //! in-process and assert the schema.
 
 use crate::harness::{
-    peak_rss_kb, run_days_streaming, run_days_streaming_two_pass, run_days_streaming_warm,
-    run_days_streaming_wrapped, DayFailure, SourceWrap, StreamingDayContext,
+    peak_rss_kb, run_days, run_days_streaming, run_days_streaming_warm, run_days_streaming_wrapped,
+    DayFailure, SourceWrap, StreamingDayContext,
 };
-use mawilab_combiner::{strategy_agreement, ConfidenceThresholds};
+use mawilab_combiner::{strategy_agreement, ConfidenceThresholds, Decision};
 use mawilab_core::{PipelineConfig, StrategyKind, WarmState};
+use mawilab_detectors::Alarm;
 use mawilab_eval::ground_truth::DEFAULT_MIN_COVERAGE;
 use mawilab_eval::{stability_report, DaySummary, GroundTruthMatcher, StabilityReport, WormStatus};
-use mawilab_label::MawilabLabel;
+use mawilab_label::{LabeledCommunity, MawilabLabel};
 use mawilab_model::{LinkEra, TraceDate, DEFAULT_CHUNK_US};
 use mawilab_synth::{AnomalyKind, ArchiveConfig, ArchiveSimulator, TraceGenerator};
 use std::collections::HashSet;
@@ -33,10 +34,10 @@ use std::collections::HashSet;
 /// The pipeline configuration every archive sweep runs with: the
 /// default pipeline plus the default dual confidence thresholds, so
 /// labels carry a real abstention tier and the stability report's
-/// `churn_confident` measures something. All four collectors (cold,
-/// wrapped, two-pass oracle, warm) share this one function — the
-/// oracle and determinism comparisons only hold if every path labels
-/// under the same thresholds.
+/// `churn_confident` measures something. Every collector (cold,
+/// wrapped, warm) and the batch oracle sweep of `--verify-oracle`
+/// share this one function — the oracle and determinism comparisons
+/// only hold if every path labels under the same thresholds.
 pub fn archive_config() -> PipelineConfig {
     PipelineConfig {
         confidence_thresholds: Some(ConfidenceThresholds::default()),
@@ -181,8 +182,7 @@ pub struct ArchiveDayRecord {
     pub packets: u64,
     /// Chunks of the stream (first drain's view).
     pub chunks: usize,
-    /// Times the source was drained: 1 on the single-pass path, 2 on
-    /// the two-pass oracle.
+    /// Times the source was drained (1: the path is single-pass).
     pub passes: usize,
     /// Largest single chunk.
     pub peak_chunk_packets: usize,
@@ -206,11 +206,10 @@ pub struct ArchiveDayRecord {
     pub wall_s: f64,
     /// Pipeline throughput, packets/second.
     pub pps: f64,
-    /// Wall-clock of producing the day ahead of the pipeline's drain,
-    /// seconds (single-pass: the generator's day plan only — packets
-    /// generate lazily inside the drain; two-pass oracle: the whole
-    /// truth pre-pass). For the generation-only engine comparison see
-    /// [`GenThroughput`].
+    /// Wall-clock of producing the generator's day plan ahead of the
+    /// pipeline's drain, seconds. Packets generate lazily inside the
+    /// drain, so they are not in here. For the generation-only engine
+    /// comparison see [`GenThroughput`].
     pub gen_s: f64,
     /// Day-production throughput over `gen_s`, packets/second.
     pub gen_pps: f64,
@@ -368,19 +367,49 @@ pub fn collect_archive_wrapped(args: &ArchiveBenchArgs, wrap: &dyn SourceWrap) -
     ))
 }
 
-/// [`collect_archive`] through the legacy two-pass oracle
-/// ([`run_days_streaming_two_pass`]): same sweep, same reductions,
-/// but the source is drained twice through the rewind-based pipeline.
-/// Oracle-verification runs byte-compare its [`deterministic_view`]
-/// against the single-pass sweep's.
-pub fn collect_archive_two_pass(args: &ArchiveBenchArgs) -> ArchiveOutcome {
-    assemble_outcome(run_days_streaming_two_pass(
+/// One day's labels as a string: every alarm, decision and labeled
+/// community (label, confidence tier, heuristic, window, summary),
+/// plus the exact bits of each confidence score. The batch oracle and
+/// the single-pass sweep reduce each day with this same digest, so
+/// `--verify-oracle` compares them byte for byte.
+fn label_digest(alarms: &[Alarm], decisions: &[Decision], labeled: &[LabeledCommunity]) -> String {
+    let score_bits: Vec<u64> = labeled
+        .iter()
+        .map(|c| c.confidence.score.to_bits())
+        .collect();
+    format!(
+        "alarms={alarms:?}\ndecisions={decisions:?}\nlabeled={labeled:?}\nscore_bits={score_bits:?}"
+    )
+}
+
+/// Labels the sweep's days through the batch oracle
+/// ([`run_days`], `MawilabPipeline::run_all_strategies`) and through
+/// the single-pass sweep ([`run_days_streaming`]), and asserts every
+/// day's `label_digest` is identical. Returns the number of days
+/// compared.
+pub fn verify_batch_oracle(args: &ArchiveBenchArgs) -> usize {
+    let batch = run_days(&args.days, args.scale, archive_config(), |ctx| {
+        let r = ctx.report;
+        label_digest(&r.communities.alarms, &r.decisions, &r.labeled.communities)
+    });
+    let online = run_days_streaming(
         &args.days,
         args.scale,
         args.chunk_us,
         archive_config(),
-        reduce_day,
-    ))
+        |ctx| {
+            let r = ctx.report;
+            label_digest(&r.communities.alarms, &r.decisions, &r.labeled.communities)
+        },
+    );
+    for ((date, oracle), day) in args.days.iter().zip(&batch).zip(online) {
+        let day = day.unwrap_or_else(|e| panic!("single-pass sweep failed: {e}"));
+        assert!(
+            *oracle == day,
+            "single-pass labels diverged from the batch oracle on {date}"
+        );
+    }
+    batch.len()
 }
 
 /// Warm-state bookkeeping of one warm sweep.
@@ -436,14 +465,13 @@ pub fn collect_archive_warm(
     (outcome, stats)
 }
 
-/// Everything thread-count- and ingest-mode-invariant in an
-/// [`ArchiveOutcome`]: the per-day reductions minus their wall-clock
-/// and drain-count fields, plus the whole stability report (which
-/// holds no timing data). Two sweeps over the same days must render
-/// identical views whatever `MAWILAB_THREADS` was and whichever
-/// ingest path (single-pass or two-pass oracle) ran them — the
-/// comparison key of the thread-determinism suite and the
-/// `--verify-oracle` mode.
+/// Everything thread-count-invariant in an [`ArchiveOutcome`]: the
+/// per-day reductions minus their wall-clock and drain-count fields,
+/// plus the whole stability report (which holds no timing data). Two
+/// sweeps over the same days must render identical views whatever
+/// `MAWILAB_THREADS` was — the comparison key of the
+/// thread-determinism suite and of the cold/warm check
+/// (`--verify-cold`).
 pub fn deterministic_view(outcome: &ArchiveOutcome) -> String {
     let days: Vec<String> = outcome
         .records
@@ -719,6 +747,7 @@ fn format_archive_json(
     outcome: &ArchiveOutcome,
     gen: &GenThroughput,
     warm: Option<&WarmReport>,
+    peak_rss: Option<u64>,
 ) -> String {
     let ArchiveOutcome {
         records,
@@ -971,7 +1000,7 @@ fn format_archive_json(
         f(gen.sequential_s),
         gen_rows.join(",\n"),
         warm.map_or("null".to_string(), |w| format_warm_json(outcome, w)),
-        peak_rss_kb().unwrap_or(0),
+        peak_rss.map_or("null".to_string(), |kb| kb.to_string()),
     )
 }
 
@@ -1024,7 +1053,7 @@ pub fn run_archive_bench(args: &ArchiveBenchArgs) -> String {
         .copied()
         .unwrap_or_else(default_sweep_start);
     let gen = generation_throughput(gen_day, args.scale, 9);
-    let json = format_archive_json(args, &outcome, &gen, warm.as_ref());
+    let json = format_archive_json(args, &outcome, &gen, warm.as_ref(), peak_rss_kb());
 
     std::fs::create_dir_all(&args.out_dir).expect("creating out dir");
     let path = format!("{}/BENCH_archive.json", args.out_dir);
@@ -1080,14 +1109,12 @@ mod tests {
         assert_eq!(json_escape("plain message"), "plain message");
     }
 
-    #[test]
-    fn failed_days_render_into_the_json() {
+    /// Renders the JSON of a day-less sweep with the given failures
+    /// and peak RSS.
+    fn render_empty(failed: Vec<(TraceDate, String)>, peak_rss: Option<u64>) -> String {
         let outcome = ArchiveOutcome {
             records: Vec::new(),
-            failed: vec![(
-                TraceDate::new(2006, 7, 1),
-                "day 2006-07-01: source \"x\" broke\nbadly".to_string(),
-            )],
+            failed,
             stability: stability_report(&[], MAX_STABILITY_GAP_DAYS),
         };
         let gen = GenThroughput {
@@ -1096,12 +1123,31 @@ mod tests {
             sequential_s: 1.0,
             sharded: vec![(1, 1.0)],
         };
-        let json = format_archive_json(&ArchiveBenchArgs::default(), &outcome, &gen, None);
+        format_archive_json(&ArchiveBenchArgs::default(), &outcome, &gen, None, peak_rss)
+    }
+
+    #[test]
+    fn failed_days_render_into_the_json() {
+        let json = render_empty(
+            vec![(
+                TraceDate::new(2006, 7, 1),
+                "day 2006-07-01: source \"x\" broke\nbadly".to_string(),
+            )],
+            Some(1234),
+        );
         assert!(json.contains("\"failed_days\": [\n"));
+        assert!(json.contains("\"peak_rss_kb\": 1234"));
         assert!(json.contains("\"warm\": null"));
         assert!(json.contains("{\"date\": \"2006-07-01\", \"error\": \"day 2006-07-01: source \\\"x\\\" broke\\nbadly\"}"));
         assert!(json.contains("\"sampled_days\": 0"));
         assert!(json.contains("\"first_day\": null"));
+    }
+
+    #[test]
+    fn unreadable_peak_rss_renders_as_null_not_zero() {
+        let json = render_empty(Vec::new(), None);
+        assert!(json.contains("\"peak_rss_kb\": null"));
+        assert!(!json.contains("\"peak_rss_kb\": 0"));
     }
 
     #[test]

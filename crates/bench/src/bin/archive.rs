@@ -13,10 +13,11 @@
 //!
 //! The sweep runs **single-pass**: each day's source streams once
 //! through the online pipeline, sealed behind a rewind-refusing
-//! wrapper. `--verify-oracle` additionally reruns the sweep through
-//! the legacy two-pass pipeline and asserts the deterministic
-//! reductions are byte-identical — the in-process equivalence check
-//! CI's `online-smoke` job leans on.
+//! wrapper. `--verify-oracle` additionally labels the same days
+//! through the batch oracle (`MawilabPipeline` on the materialised
+//! day) and asserts every day's alarms, decisions and labels are
+//! byte-identical to the single-pass sweep's — the in-process
+//! equivalence check CI's `online-smoke` job leans on.
 //!
 //! ```sh
 //! cargo run --release -p mawilab-bench --bin archive [-- --scale 1.0 --out results]
@@ -36,9 +37,8 @@
 //! at `decay = 0` and asserts it is byte-identical to the cold sweep.
 
 use mawilab_bench::archive::{
-    collect_archive, collect_archive_two_pass, default_month_days, default_sweep_start,
-    deterministic_view, month_sweep_days, run_archive_bench, smoke_archive_days, ArchiveBenchArgs,
-    DEFAULT_WARM_DECAY,
+    default_month_days, default_sweep_start, month_sweep_days, run_archive_bench,
+    smoke_archive_days, verify_batch_oracle, ArchiveBenchArgs, DEFAULT_WARM_DECAY,
 };
 use mawilab_model::TraceDate;
 
@@ -137,31 +137,9 @@ fn main() {
         args.warm_decay = Some(DEFAULT_WARM_DECAY);
     }
     if verify_oracle {
-        // Run the same sweep through both ingest paths and compare
-        // the thread- and mode-invariant reductions byte for byte.
-        eprintln!("verify-oracle: single-pass sweep …");
-        let single = collect_archive(&args);
-        assert!(
-            single.failed.is_empty(),
-            "single-pass sweep had failed days: {:?}",
-            single.failed
-        );
-        eprintln!("verify-oracle: two-pass oracle sweep …");
-        let oracle = collect_archive_two_pass(&args);
-        assert!(
-            oracle.failed.is_empty(),
-            "oracle sweep had failed days: {:?}",
-            oracle.failed
-        );
-        assert_eq!(
-            deterministic_view(&single),
-            deterministic_view(&oracle),
-            "single-pass and two-pass sweeps diverged"
-        );
-        eprintln!(
-            "verify-oracle: single-pass == two-pass over {} days ✓",
-            single.records.len()
-        );
+        eprintln!("verify-oracle: batch oracle vs single-pass sweep …");
+        let days = verify_batch_oracle(&args);
+        eprintln!("verify-oracle: single-pass == batch over {days} days ✓");
     }
     let json = run_archive_bench(&args);
     println!("{json}");

@@ -8,14 +8,14 @@
 
 use mawilab_combiner::Decision;
 use mawilab_core::{
-    MawilabPipeline, OnlinePipeline, PipelineConfig, PipelineReport, StrategyKind,
-    StreamingPipeline, StreamingReport, WarmState,
+    MawilabPipeline, OnlinePipeline, PipelineConfig, PipelineReport, StrategyKind, StreamingReport,
+    WarmState,
 };
 use mawilab_detectors::TraceView;
 use mawilab_label::LabeledWindow;
 use mawilab_model::{
-    FlowTable, ItemIndex, NoRewindSource, PacketSource, SourceError, StreamTruthCollector,
-    TapSource, TraceDate,
+    FlowTable, NoRewindSource, PacketSource, SourceError, StreamTruthCollector, TapSource,
+    TraceDate,
 };
 use mawilab_synth::{ArchiveConfig, ArchiveSimulator, GroundTruth, LabeledTrace, TraceGenerator};
 use std::fmt;
@@ -113,18 +113,15 @@ pub struct StreamingDayContext<'a> {
     /// Full streaming pipeline output, including ingest stats.
     pub report: &'a StreamingReport,
     /// The per-horizon label feed of the single-pass run, in window
-    /// order. Empty on the two-pass oracle path, which labels the
-    /// whole day at once.
+    /// order.
     pub windows: &'a [LabeledWindow],
     /// Wall-clock of the whole streaming run for this day.
     pub wall: Duration,
-    /// Wall-clock of producing the day ahead of the pipeline's drain:
-    /// on the single-pass path only the generator's day plan (the
-    /// packets themselves are generated lazily *inside* the drain, so
-    /// they land in `wall`); on the two-pass oracle path the whole
-    /// truth pre-pass (sharded generation plus per-packet unit-id/tag
-    /// collection). For a generation-only engine comparison see the
-    /// benchmark's `generation` block (`generation_throughput`).
+    /// Wall-clock of producing the generator's day plan ahead of the
+    /// pipeline's drain. The packets themselves are generated lazily
+    /// *inside* the drain, so they land in `wall`. For a
+    /// generation-only engine comparison see the benchmark's
+    /// `generation` block (`generation_throughput`).
     pub gen_wall: Duration,
 }
 
@@ -183,7 +180,7 @@ impl SourceWrap for NoWrap {
 ///
 /// Per-packet truth tags stream out of the generator through a
 /// [`TapSource`]/[`StreamTruthCollector`] pair riding the pipeline's
-/// own drain (the collector's incremental [`ItemIndex`] assigns
+/// own drain (the collector's incremental [`ItemIndex`](mawilab_model::ItemIndex) assigns
 /// exactly the unit ids the pipeline's extraction does), so each day
 /// pays generation exactly **once**. The source is additionally
 /// sealed behind a [`NoRewindSource`]: any rewind attempt is a
@@ -221,35 +218,9 @@ where
     T: Send,
     F: Fn(&StreamingDayContext<'_>) -> T + Sync,
 {
+    let pipeline = OnlinePipeline::new(pipeline_config);
     schedule_days(days, scale, |date, sim| {
-        let generator = TraceGenerator::new(sim.config_for(date));
-        let t0 = std::time::Instant::now();
-        let source = generator.stream(chunk_us);
-        let records = source.records().to_vec();
-        let gen_wall = t0.elapsed();
-        let mut collector = StreamTruthCollector::new(pipeline_config.granularity);
-        let pipeline = OnlinePipeline::new(pipeline_config.clone());
-        let t0 = std::time::Instant::now();
-        let online = {
-            let tap = TapSource::new(source, &mut collector);
-            let mut sealed = wrap.wrap(date, Box::new(NoRewindSource::new(tap)));
-            match pipeline.run(&mut *sealed) {
-                Ok(online) => online,
-                Err(error) => return Err(DayFailure { date, error }),
-            }
-        };
-        let wall = t0.elapsed();
-        let (item_ids, tags) = collector.into_parts();
-        let truth = GroundTruth::new(tags, records);
-        Ok(reduce(&StreamingDayContext {
-            date,
-            truth: &truth,
-            item_ids: &item_ids,
-            report: &online.report,
-            windows: &online.windows,
-            wall,
-            gen_wall,
-        }))
+        label_day(date, sim, chunk_us, &pipeline, wrap, None, &reduce)
     })
 }
 
@@ -285,39 +256,18 @@ where
         scale,
         ..Default::default()
     });
-    let pipeline = OnlinePipeline::new(pipeline_config.clone());
+    let pipeline = OnlinePipeline::new(pipeline_config);
     let mut out = Vec::with_capacity(days.len());
     for (done, &date) in days.iter().enumerate() {
-        let generator = TraceGenerator::new(sim.config_for(date));
-        let t0 = std::time::Instant::now();
-        let source = generator.stream(chunk_us);
-        let records = source.records().to_vec();
-        let gen_wall = t0.elapsed();
-        let mut collector = StreamTruthCollector::new(pipeline_config.granularity);
-        let t0 = std::time::Instant::now();
-        let online = {
-            let tap = TapSource::new(source, &mut collector);
-            let mut sealed = NoRewindSource::new(tap);
-            match pipeline.run_warm(&mut sealed, Some(warm)) {
-                Ok(online) => online,
-                Err(error) => {
-                    out.push(Err(DayFailure { date, error }));
-                    continue;
-                }
-            }
-        };
-        let wall = t0.elapsed();
-        let (item_ids, tags) = collector.into_parts();
-        let truth = GroundTruth::new(tags, records);
-        out.push(Ok(reduce(&StreamingDayContext {
+        out.push(label_day(
             date,
-            truth: &truth,
-            item_ids: &item_ids,
-            report: &online.report,
-            windows: &online.windows,
-            wall,
-            gen_wall,
-        })));
+            &sim,
+            chunk_us,
+            &pipeline,
+            &NoWrap,
+            Some(&mut *warm),
+            &mut reduce,
+        ));
         let d = done + 1;
         if d.is_multiple_of(25) || d == days.len() {
             eprintln!("  [{d}/{} days]", days.len());
@@ -326,66 +276,49 @@ where
     out
 }
 
-/// The **two-pass oracle** form of [`run_days_streaming`]: the same
-/// sweep through the legacy [`StreamingPipeline`] (truth pre-pass,
-/// rewind, detection pass, rewind, extraction pass). Kept as the
-/// independently-built path to the same labels — equivalence suites
-/// byte-compare its output against the single-pass run — and for
-/// profiling the replay cost the single-pass path eliminates. Its
-/// contexts carry no [`LabeledWindow`]s (`windows` is empty): the
-/// oracle labels the day all at once.
-pub fn run_days_streaming_two_pass<T, F>(
-    days: &[TraceDate],
-    scale: f64,
+/// Labels one archive day single-pass — the per-day body of every
+/// streaming sweep. The day's [`SynthSource`] emits chunks straight
+/// out of the sharded generator; a [`TapSource`] collects the
+/// ground truth off the pipeline's own drain; the source is sealed
+/// behind a [`NoRewindSource`] and then handed to `wrap`. The run is
+/// warm when `warm` is given, cold otherwise.
+///
+/// [`SynthSource`]: mawilab_synth::SynthSource
+fn label_day<T>(
+    date: TraceDate,
+    sim: &ArchiveSimulator,
     chunk_us: u64,
-    pipeline_config: PipelineConfig,
-    reduce: F,
-) -> Vec<Result<T, DayFailure>>
-where
-    T: Send,
-    F: Fn(&StreamingDayContext<'_>) -> T + Sync,
-{
-    schedule_days(days, scale, |date, sim| {
-        let generator = TraceGenerator::new(sim.config_for(date));
-        let t0 = std::time::Instant::now();
-        let mut source = generator.stream(chunk_us);
-        // Streaming pre-pass: per-packet truth tags and traffic-unit
-        // ids in stream order, one chunk live at a time.
-        let mut item_index = ItemIndex::new(pipeline_config.granularity);
-        let mut item_ids = Vec::new();
-        let mut tags = Vec::new();
-        loop {
-            match source.next_chunk() {
-                Ok(Some(chunk)) => {
-                    item_ids.extend(chunk.packets.iter().map(|p| item_index.id_of(p)));
-                    tags.extend_from_slice(source.chunk_tags());
-                }
-                Ok(None) => break,
-                Err(error) => return Err(DayFailure { date, error }),
-            }
-        }
-        let truth = GroundTruth::new(tags, source.records().to_vec());
-        let gen_wall = t0.elapsed();
-        if let Err(error) = source.rewind() {
-            return Err(DayFailure { date, error });
-        }
-        let pipeline = StreamingPipeline::new(pipeline_config.clone());
-        let t0 = std::time::Instant::now();
-        let report = match pipeline.run(&mut source) {
-            Ok(report) => report,
-            Err(error) => return Err(DayFailure { date, error }),
-        };
-        let wall = t0.elapsed();
-        Ok(reduce(&StreamingDayContext {
-            date,
-            truth: &truth,
-            item_ids: &item_ids,
-            report: &report,
-            windows: &[],
-            wall,
-            gen_wall,
-        }))
-    })
+    pipeline: &OnlinePipeline,
+    wrap: &dyn SourceWrap,
+    warm: Option<&mut WarmState>,
+    reduce: impl FnOnce(&StreamingDayContext<'_>) -> T,
+) -> Result<T, DayFailure> {
+    let generator = TraceGenerator::new(sim.config_for(date));
+    let t0 = std::time::Instant::now();
+    let source = generator.stream(chunk_us);
+    let records = source.records().to_vec();
+    let gen_wall = t0.elapsed();
+    let mut collector = StreamTruthCollector::new(pipeline.config().granularity);
+    let t0 = std::time::Instant::now();
+    let online = {
+        let tap = TapSource::new(source, &mut collector);
+        let mut sealed = wrap.wrap(date, Box::new(NoRewindSource::new(tap)));
+        pipeline
+            .run_warm(&mut *sealed, warm)
+            .map_err(|error| DayFailure { date, error })?
+    };
+    let wall = t0.elapsed();
+    let (item_ids, tags) = collector.into_parts();
+    let truth = GroundTruth::new(tags, records);
+    Ok(reduce(&StreamingDayContext {
+        date,
+        truth: &truth,
+        item_ids: &item_ids,
+        report: &online.report,
+        windows: &online.windows,
+        wall,
+        gen_wall,
+    }))
 }
 
 /// Peak resident set size of this process in KiB (Linux `VmHWM`), if
@@ -426,8 +359,18 @@ mod tests {
     #[test]
     fn streaming_days_match_batch_days() {
         let days = first_days_of_month(2005, 6, 2);
+        // Labels, per-packet truth tags and unit ids must all match
+        // the materialised batch day.
         let batch = run_days(&days, 0.3, PipelineConfig::default(), |ctx| {
-            (ctx.report.alarm_count(), ctx.report.decisions.clone())
+            let flows = &ctx.view.flows;
+            (
+                ctx.report.alarm_count(),
+                ctx.report.decisions.clone(),
+                ctx.labeled_trace.truth.tags().to_vec(),
+                (0..ctx.view.trace.len())
+                    .map(|i| flows.uniflow_of(i))
+                    .collect::<Vec<u32>>(),
+            )
         });
         let streamed: Vec<_> = run_days_streaming(
             &days,
@@ -460,7 +403,12 @@ mod tests {
                     ctx.report.labeled.communities.len(),
                     "the horizon feed carries every labeled community"
                 );
-                (ctx.report.alarm_count(), ctx.report.decisions.clone())
+                (
+                    ctx.report.alarm_count(),
+                    ctx.report.decisions.clone(),
+                    ctx.truth.tags().to_vec(),
+                    ctx.item_ids.to_vec(),
+                )
             },
         )
         .into_iter()
@@ -520,43 +468,5 @@ mod tests {
         assert_eq!(alarms.len(), 2);
         assert_eq!(warm.days(), 2);
         assert!(warm.carried_signatures() > 0);
-    }
-
-    #[test]
-    fn two_pass_oracle_agrees_with_the_single_pass_run() {
-        let days = first_days_of_month(2003, 9, 2);
-        let reduce = |ctx: &StreamingDayContext<'_>| {
-            (
-                ctx.report.alarm_count(),
-                ctx.report.decisions.clone(),
-                ctx.truth.tags().to_vec(),
-                ctx.item_ids.to_vec(),
-            )
-        };
-        let single: Vec<_> = run_days_streaming(
-            &days,
-            0.3,
-            mawilab_model::DEFAULT_CHUNK_US,
-            PipelineConfig::default(),
-            reduce,
-        )
-        .into_iter()
-        .map(|day| day.expect("synthetic day cannot fail"))
-        .collect();
-        let oracle: Vec<_> = run_days_streaming_two_pass(
-            &days,
-            0.3,
-            mawilab_model::DEFAULT_CHUNK_US,
-            PipelineConfig::default(),
-            |ctx| {
-                assert_eq!(ctx.report.stats.passes(), 2, "oracle drains twice");
-                assert!(ctx.windows.is_empty(), "oracle emits no horizon feed");
-                reduce(ctx)
-            },
-        )
-        .into_iter()
-        .map(|day| day.expect("synthetic day cannot fail"))
-        .collect();
-        assert_eq!(single, oracle);
     }
 }

@@ -23,13 +23,14 @@
 pub mod benchmark;
 pub mod online;
 pub mod pipeline;
-pub mod streaming;
 pub mod warm;
 
 pub use benchmark::{benchmark_alarms, BenchmarkResult};
-pub use online::{OnlinePipeline, OnlineReport, DEFAULT_HORIZON_US, DEFAULT_LAG_US};
+pub use online::{
+    DrainStats, OnlinePipeline, OnlineReport, StreamStats, StreamingReport, DEFAULT_HORIZON_US,
+    DEFAULT_LAG_US,
+};
 pub use pipeline::{
     LabeledReport, MawilabPipeline, PipelineConfig, PipelineReport, PipelineTimings, StrategyKind,
 };
-pub use streaming::{DrainStats, StreamStats, StreamingPipeline, StreamingReport};
 pub use warm::WarmState;

@@ -1,17 +1,18 @@
 //! The single-pass online MAWILab pipeline: one drain, labels on a
 //! sliding horizon.
 //!
-//! [`StreamingPipeline`](crate::StreamingPipeline) drains every
-//! source twice — detect, then rewind and extract — which a live
-//! link cannot do. [`OnlinePipeline`] folds both jobs into **one
-//! drain**: as each chunk streams past, every detector configuration
-//! observes it *and* the extraction/labeling evidence is banked
-//! (traffic-unit ids from the incremental `ItemIndex`, compact
-//! `(FlowKey, ts, id)` records in the
-//! [`HorizonExtractor`], monoidal per-unit
-//! [`CommunityEvidence`] profiles). Nothing is ever re-read: a
+//! A live link cannot be replayed, so [`OnlinePipeline`] labels a
+//! source in **one drain**: as each chunk streams past, every
+//! detector configuration observes it *and* the extraction/labeling
+//! evidence is banked (traffic-unit ids from the incremental
+//! `ItemIndex`, compact `(FlowKey, ts, id)` records in the
+//! [`HorizonExtractor`], monoidal per-unit [`CommunityEvidence`]
+//! profiles). Nothing is ever re-read: a
 //! [`NoRewindSource`](mawilab_model::NoRewindSource)-wrapped source
-//! completes a whole archive sweep with zero rewind calls.
+//! completes a whole archive sweep with zero rewind calls. Its
+//! equivalence oracle is the batch
+//! [`MawilabPipeline::run`](crate::MawilabPipeline::run) on the
+//! materialised trace.
 //!
 //! ## The sliding horizon
 //!
@@ -29,8 +30,8 @@
 //! The lag governs **evidence retention**, not alarm timing: the
 //! paper's detectors calibrate on whole-trace state (PCA subspace,
 //! Gamma fits, KL reference histograms), so alarms finalize at end of
-//! stream and byte-identity with the oracle holds at *every* lag —
-//! `lag = 0` (all evidence compacted on arrival) through
+//! stream and byte-identity with the batch oracle holds at *every*
+//! lag — `lag = 0` (all evidence compacted on arrival) through
 //! `lag ≥ stream` (all evidence raw) produce identical labels, which
 //! `tests/online_equivalence.rs` pins across seeds × chunk widths ×
 //! thread counts.
@@ -48,9 +49,8 @@
 //! it never re-labels.
 
 use crate::pipeline::{LabeledReport, PipelineConfig, PipelineTimings};
-use crate::streaming::{DrainStats, StreamStats, StreamingReport, FANOUT_MIN_CHUNK_PACKETS};
 use crate::warm::WarmState;
-use mawilab_combiner::{label_confidences, VoteTable};
+use mawilab_combiner::{label_confidences, Decision, VoteTable};
 use mawilab_detectors::{
     finish_all, observe_all, standard_configurations, ChunkView, Detector, IncrementalDetector,
 };
@@ -58,7 +58,7 @@ use mawilab_label::{
     label_communities_streaming, window_communities, CommunityEvidence, LabeledWindow,
 };
 use mawilab_model::{ItemIndex, PacketSource, SourceError};
-use mawilab_similarity::{HorizonExtractor, HorizonStats};
+use mawilab_similarity::{AlarmCommunities, HorizonExtractor, HorizonStats};
 use std::time::Instant;
 
 /// Default evidence-retention lag: 30 s — six default chunks, two
@@ -69,15 +69,100 @@ pub const DEFAULT_LAG_US: u64 = 30_000_000;
 /// Default horizon window width: 60 s of labels per emission.
 pub const DEFAULT_HORIZON_US: u64 = 60_000_000;
 
+/// Chunk/packet counters of one full drain of a source.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DrainStats {
+    /// Chunks the drain consumed.
+    pub chunks: usize,
+    /// Packets the drain consumed.
+    pub packets: u64,
+}
+
+/// Ingest statistics of one streaming run, kept per drain. The
+/// single-pass [`OnlinePipeline`] records exactly one drain.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct StreamStats {
+    /// One entry per drain of the source, in drain order.
+    pub drains: Vec<DrainStats>,
+    /// Evidence-retention lag of the sliding horizon.
+    pub horizon_lag_us: Option<u64>,
+    /// Largest number of packets alive at once — the size of the
+    /// biggest single chunk. This is the constant-memory bound.
+    pub peak_chunk_packets: usize,
+    /// Distinct traffic units assigned during extraction.
+    pub items: usize,
+}
+
+impl StreamStats {
+    /// Number of times the source was drained (1 = single-pass).
+    pub fn passes(&self) -> usize {
+        self.drains.len()
+    }
+
+    /// Chunks of the stream, as seen by the first drain.
+    pub fn chunks(&self) -> usize {
+        self.drains.first().map_or(0, |d| d.chunks)
+    }
+
+    /// Packets of the stream, as seen by the first drain.
+    pub fn packets(&self) -> u64 {
+        self.drains.first().map_or(0, |d| d.packets)
+    }
+
+    /// Total packets pulled across **all** drains — the real ingest
+    /// cost.
+    pub fn packets_drained(&self) -> u64 {
+        self.drains.iter().map(|d| d.packets).sum()
+    }
+}
+
+/// Everything the streaming pipeline produced for one stream.
+#[derive(Debug)]
+pub struct StreamingReport {
+    /// Step-2 output: alarms, traffic sets, graph, partition.
+    pub communities: AlarmCommunities,
+    /// Step-3 input: the 12-configuration vote table.
+    pub votes: VoteTable,
+    /// Step-3 output: one decision per community.
+    pub decisions: Vec<Decision>,
+    /// Step-4 output: labeled communities.
+    pub labeled: LabeledReport,
+    /// Wall-clock accounting (detect = the drain, extract = the
+    /// end-of-stream resolve, then graph / Louvain / combine / label).
+    pub timings: PipelineTimings,
+    /// Ingest statistics.
+    pub stats: StreamStats,
+}
+
+impl StreamingReport {
+    /// Total number of alarms the detectors raised.
+    pub fn alarm_count(&self) -> usize {
+        self.communities.alarms.len()
+    }
+
+    /// Number of communities.
+    pub fn community_count(&self) -> usize {
+        self.communities.community_count()
+    }
+}
+
+/// Chunks below this packet count are observed inline rather than
+/// fanned out: `observe_all` spins up a scoped-thread round per call,
+/// and for near-empty chunks (narrow `--chunk-us` bins, quiet
+/// periods) the spawn/join barrier would dwarf the detector work
+/// itself. The cutover is by chunk size only — never by thread count
+/// — so output stays identical at any `MAWILAB_THREADS` setting
+/// (detectors are independent; only the schedule changes).
+pub(crate) const FANOUT_MIN_CHUNK_PACKETS: usize = 1024;
+
 /// Everything one single-pass run produced: the full
-/// [`StreamingReport`] (same shape as the two-pass pipeline's, so
-/// every consumer and oracle comparison works unchanged) plus the
-/// per-horizon label feed.
+/// [`StreamingReport`] plus the per-horizon label feed.
 #[derive(Debug)]
 pub struct OnlineReport {
-    /// The run's report — byte-identical to what the two-pass
-    /// [`StreamingPipeline`](crate::StreamingPipeline) produces on
-    /// the same stream.
+    /// The run's report — its alarms, traffic sets, votes, decisions
+    /// and labels are byte-identical to what the batch
+    /// [`MawilabPipeline::run`](crate::MawilabPipeline::run) produces
+    /// on the materialised stream.
     pub report: StreamingReport,
     /// The label feed: one [`LabeledWindow`] per horizon window, in
     /// window order. Flattening their communities reproduces
@@ -248,11 +333,10 @@ impl OnlinePipeline {
         };
         let mut drain = DrainStats::default();
 
-        // The one drain: detectors observe each chunk (same fan-out
-        // and same inline cutover as the two-pass pipeline, so the
-        // observation schedule — and therefore every alarm — is
-        // identical), while the extraction/labeling evidence is
-        // banked alongside.
+        // The one drain: detectors observe each chunk (detector state
+        // is chunk-boundary invariant, so every alarm equals the batch
+        // run's), while the extraction/labeling evidence is banked
+        // alongside.
         let t0 = Instant::now();
         if let Some(w) = warm.as_deref_mut() {
             w.begin_day(meta.era, meta.date);
@@ -305,8 +389,7 @@ impl OnlinePipeline {
         let detect = t0.elapsed();
 
         // End of stream: resolve the finished alarms against the
-        // banked evidence — the deferred half of what the two-pass
-        // extraction pass did per chunk.
+        // banked evidence.
         let t1 = Instant::now();
         let resolved = horizon.finalize(&alarms);
         evidence.retain_matched(&resolved.matched);
@@ -314,7 +397,7 @@ impl OnlinePipeline {
         let horizon_stats = resolved.stats;
         let extract = t1.elapsed();
 
-        // Steps 2–4: same batch code as the two-pass path. Warm state
+        // Steps 2–4: the batch pipeline's own code. Warm state
         // only *seeds* Louvain — the similarity graph itself is built
         // exactly as in the cold path, so the fixed point refinement
         // converges to is still a cold-reachable partition. At zero
@@ -401,7 +484,7 @@ impl OnlinePipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::streaming::StreamingPipeline;
+    use crate::pipeline::MawilabPipeline;
     use mawilab_model::{NoRewindSource, TraceChunker, DEFAULT_CHUNK_US};
     use mawilab_synth::{SynthConfig, TraceGenerator};
 
@@ -410,13 +493,10 @@ mod tests {
     }
 
     #[test]
-    fn single_pass_report_matches_two_pass_through_a_sealed_source() {
+    fn single_pass_report_matches_batch_through_a_sealed_source() {
         let lt = small_trace();
         let config = PipelineConfig::default();
-        let mut oracle_source = TraceChunker::new(lt.trace.clone(), DEFAULT_CHUNK_US);
-        let oracle = StreamingPipeline::new(config.clone())
-            .run(&mut oracle_source)
-            .unwrap();
+        let oracle = MawilabPipeline::new(config.clone()).run(&lt.trace);
 
         let mut source = NoRewindSource::new(TraceChunker::new(lt.trace.clone(), DEFAULT_CHUNK_US));
         let online = OnlinePipeline::new(config).run(&mut source).unwrap();
@@ -433,14 +513,18 @@ mod tests {
             online.report.labeled.communities.len(),
             oracle.labeled.communities.len()
         );
-        // Ingest accounting: one drain of the same stream.
+        // Ingest accounting: one drain of the whole stream.
         assert_eq!(online.report.stats.passes(), 1);
-        assert_eq!(online.report.stats.chunks(), oracle.stats.chunks());
-        assert_eq!(online.report.stats.packets(), oracle.stats.packets());
-        assert_eq!(
-            online.report.stats.packets_drained() * 2,
-            oracle.stats.packets_drained()
+        assert!(
+            online.report.stats.chunks() > 1,
+            "expected a multi-chunk stream"
         );
+        assert_eq!(online.report.stats.packets(), lt.trace.len() as u64);
+        assert_eq!(
+            online.report.stats.packets_drained(),
+            online.report.stats.packets()
+        );
+        assert!(online.report.stats.peak_chunk_packets < lt.trace.len());
         assert_eq!(online.report.stats.horizon_lag_us, Some(DEFAULT_LAG_US));
     }
 

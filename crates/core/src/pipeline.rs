@@ -123,8 +123,8 @@ impl PipelineConfig {
 pub struct PipelineTimings {
     /// Detector execution (all configurations, parallel).
     pub detect: Duration,
-    /// Traffic extraction (batch: per-alarm scan; streaming: pass 2
-    /// drain).
+    /// Traffic extraction (batch: indexed packet scan; online: the
+    /// end-of-stream horizon resolve).
     pub extract: Duration,
     /// Sharded similarity-graph construction.
     pub graph: Duration,

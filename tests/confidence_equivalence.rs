@@ -9,9 +9,9 @@
 //!    `confidence_thresholds: None` the tier is bound to the hard
 //!    accept/reject decision (never `Uncertain`), on arbitrary vote
 //!    tables (proptest) and through every labeling path;
-//! 3. **thresholds only ever add the tier** — batch, streaming,
-//!    online and warm runs produce byte-identical decisions, labels
-//!    and scores whether thresholds are on or off, across
+//! 3. **thresholds only ever add the tier** — batch, online and warm
+//!    runs produce byte-identical decisions, labels and scores
+//!    whether thresholds are on or off, across
 //!    `MAWILAB_THREADS` ∈ {1, 2, 4, 13}.
 //!
 //! Tests mutating `MAWILAB_THREADS` share `ENV_LOCK` (the variable is
@@ -21,9 +21,7 @@ use mawilab::combiner::{
     confidence_score, label_confidences, CombinationStrategy, ConfidenceThresholds, ConfidenceTier,
     Scann, VoteTable,
 };
-use mawilab::core::{
-    MawilabPipeline, OnlinePipeline, PipelineConfig, StreamingPipeline, WarmState,
-};
+use mawilab::core::{MawilabPipeline, OnlinePipeline, PipelineConfig, WarmState};
 use mawilab::label::LabeledCommunity;
 use mawilab::model::{NoRewindSource, TraceChunker, DEFAULT_CHUNK_US};
 use mawilab::synth::{AnomalySpec, SynthConfig, TraceGenerator};
@@ -103,31 +101,16 @@ fn thresholds_off_is_byte_identical_across_paths_and_threads() {
         std::env::set_var("MAWILAB_THREADS", threads);
 
         // Batch.
-        let off = MawilabPipeline::new(off_cfg.clone()).run(&lt.trace);
-        let on = MawilabPipeline::new(on_cfg.clone()).run(&lt.trace);
-        assert_eq!(off.decisions, on.decisions, "batch decisions, T={threads}");
-        assert_thresholds_only_add_the_tier(
-            &off.labeled.communities,
-            &on.labeled.communities,
-            &format!("batch, T={threads}"),
-        );
-
-        // Two-pass streaming.
-        let run_streaming = |cfg: &PipelineConfig| {
-            let mut source = TraceChunker::new(lt.trace.clone(), DEFAULT_CHUNK_US);
-            StreamingPipeline::new(cfg.clone())
-                .run(&mut source)
-                .unwrap()
-        };
-        let (off, on) = (run_streaming(&off_cfg), run_streaming(&on_cfg));
+        let batch_off = MawilabPipeline::new(off_cfg.clone()).run(&lt.trace);
+        let batch_on = MawilabPipeline::new(on_cfg.clone()).run(&lt.trace);
         assert_eq!(
-            off.decisions, on.decisions,
-            "streaming decisions, T={threads}"
+            batch_off.decisions, batch_on.decisions,
+            "batch decisions, T={threads}"
         );
         assert_thresholds_only_add_the_tier(
-            &off.labeled.communities,
-            &on.labeled.communities,
-            &format!("streaming, T={threads}"),
+            &batch_off.labeled.communities,
+            &batch_on.labeled.communities,
+            &format!("batch, T={threads}"),
         );
 
         // Single-pass online (sealed source: no rewinds).
@@ -139,6 +122,14 @@ fn thresholds_off_is_byte_identical_across_paths_and_threads() {
             report
         };
         let (off, on) = (run_online(&off_cfg), run_online(&on_cfg));
+        assert_eq!(
+            off.report.decisions, batch_off.decisions,
+            "online decisions vs batch, T={threads}"
+        );
+        assert_eq!(
+            on.report.decisions, batch_on.decisions,
+            "online decisions vs batch (thresholds on), T={threads}"
+        );
         assert_thresholds_only_add_the_tier(
             &off.report.labeled.communities,
             &on.report.labeled.communities,

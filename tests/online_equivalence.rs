@@ -1,21 +1,28 @@
-//! Single-pass/two-pass equivalence: the acceptance gate of the
-//! online-labeler refactor.
+//! Online/batch equivalence: the acceptance gate of the single-pass
+//! labeler.
 //!
 //! `OnlinePipeline` drains a source exactly once — detection and
 //! traffic extraction share the drain, evidence past the sliding
 //! horizon is retired to compact per-flow state — yet its labels must
-//! be byte-identical to the legacy two-pass `StreamingPipeline`
-//! (retained as the equivalence oracle) across seeds, chunk widths,
-//! horizon lags, granularities and thread counts. Every online run
-//! here goes through a [`NoRewindSource`] seal, so "single pass" is
-//! enforced by construction, not just claimed.
+//! be byte-identical to the batch oracle `MawilabPipeline::run` on
+//! the materialised trace (a two-pass labeler: it walks the trace once
+//! to detect and again to extract traffic), across seeds, chunk
+//! widths, horizon lags, granularities, thread counts and custom
+//! detector sets, while the number of packets alive at any moment
+//! stays bounded by one chunk (asserted through a counting source,
+//! not just claimed). Every online run here goes through a
+//! [`NoRewindSource`] seal, so "single pass" is enforced by
+//! construction, not just claimed.
 //!
 //! Tests in this binary share `ENV_LOCK` where they touch the
 //! process-wide `MAWILAB_THREADS` variable.
 
-use mawilab::core::{OnlinePipeline, PipelineConfig, StreamingPipeline};
+use mawilab::core::{MawilabPipeline, OnlinePipeline, PipelineConfig};
 use mawilab::label::LabeledCommunity;
-use mawilab::model::{Granularity, NoRewindSource, SourceError, TraceChunker, DEFAULT_CHUNK_US};
+use mawilab::model::{
+    Granularity, NoRewindSource, PacketChunk, PacketSource, SourceError, TraceChunker, TraceMeta,
+    DEFAULT_CHUNK_US,
+};
 use mawilab::synth::{AnomalySpec, SynthConfig, TraceGenerator};
 use std::sync::Mutex;
 
@@ -72,7 +79,7 @@ fn assert_labels_identical(online: &[LabeledCommunity], oracle: &[LabeledCommuni
     }
 }
 
-/// One sealed single-pass run vs the two-pass oracle, byte for byte.
+/// One sealed single-pass run vs the batch oracle, byte for byte.
 fn assert_online_equals_oracle(
     lt: &mawilab::synth::LabeledTrace,
     config: &PipelineConfig,
@@ -80,10 +87,7 @@ fn assert_online_equals_oracle(
     lag_us: u64,
     what: &str,
 ) -> mawilab::core::OnlineReport {
-    let mut oracle_source = TraceChunker::new(lt.trace.clone(), chunk_us);
-    let oracle = StreamingPipeline::new(config.clone())
-        .run(&mut oracle_source)
-        .unwrap();
+    let oracle = MawilabPipeline::new(config.clone()).run(&lt.trace);
 
     let mut sealed = NoRewindSource::new(TraceChunker::new(lt.trace.clone(), chunk_us));
     let online = OnlinePipeline::new(config.clone())
@@ -93,7 +97,6 @@ fn assert_online_equals_oracle(
     assert_eq!(sealed.rewinds_refused(), 0, "online path rewound ({what})");
 
     assert_eq!(online.report.stats.passes(), 1, "not single-pass ({what})");
-    assert_eq!(oracle.stats.passes(), 2, "oracle not two-pass ({what})");
     assert_eq!(
         online.report.communities.alarms, oracle.communities.alarms,
         "alarms differ ({what})"
@@ -188,17 +191,107 @@ fn single_pass_equals_two_pass_at_every_granularity() {
     }
 }
 
+/// A source that counts how many packets it has handed out in the
+/// currently-lent chunk, and tracks the peak. Because `next_chunk`
+/// lends from a single internal buffer, the packets of chunk N are
+/// gone before chunk N+1 exists — `peak_live` IS the largest chunk,
+/// and the assertion below pins it far under the trace size.
+struct CountingSource {
+    inner: TraceChunker,
+    peak_live: usize,
+    total: u64,
+}
+
+impl CountingSource {
+    fn new(inner: TraceChunker) -> Self {
+        CountingSource {
+            inner,
+            peak_live: 0,
+            total: 0,
+        }
+    }
+}
+
+impl PacketSource for CountingSource {
+    fn meta(&self) -> &TraceMeta {
+        self.inner.meta()
+    }
+
+    fn bin_us(&self) -> u64 {
+        self.inner.bin_us()
+    }
+
+    fn next_chunk(&mut self) -> Result<Option<&PacketChunk>, SourceError> {
+        match self.inner.next_chunk()? {
+            Some(chunk) => {
+                self.peak_live = self.peak_live.max(chunk.packets.len());
+                self.total += chunk.packets.len() as u64;
+                Ok(Some(chunk))
+            }
+            None => Ok(None),
+        }
+    }
+
+    fn rewind(&mut self) -> Result<(), SourceError> {
+        self.inner.rewind()
+    }
+}
+
 #[test]
-fn the_two_pass_oracle_cannot_run_behind_a_sealed_source() {
-    // The seal is real: the legacy pipeline's pass-2 rewind is
-    // refused, so only the single-pass path can operate online.
+fn peak_live_packet_memory_is_bounded_by_one_chunk() {
     let lt = synth(11);
-    let mut sealed = NoRewindSource::new(TraceChunker::new(lt.trace.clone(), DEFAULT_CHUNK_US));
-    let err = StreamingPipeline::new(PipelineConfig::default())
+    let total = lt.trace.len();
+    assert!(
+        total > 10_000,
+        "trace too small to make the bound meaningful: {total}"
+    );
+    let mut sealed = NoRewindSource::new(CountingSource::new(TraceChunker::new(
+        lt.trace.clone(),
+        DEFAULT_CHUNK_US,
+    )));
+    let online = OnlinePipeline::new(PipelineConfig::default())
         .run(&mut sealed)
-        .unwrap_err();
-    assert!(matches!(err, SourceError::RewindUnsupported(_)));
-    assert_eq!(sealed.rewinds_refused(), 1);
+        .unwrap();
+    assert_eq!(sealed.rewinds_refused(), 0);
+    let source = sealed.into_inner();
+
+    // The one drain pulled every packet exactly once…
+    assert_eq!(source.total, total as u64);
+    // …but the pipeline never saw more than one chunk's packets at a
+    // time, and the report's own accounting agrees with the source's.
+    assert_eq!(online.report.stats.peak_chunk_packets, source.peak_live);
+    assert!(
+        source.peak_live * 4 < total,
+        "peak live packets {} is not clearly below trace size {}",
+        source.peak_live,
+        total
+    );
+    // The 60 s trace cut into 5 s bins: a genuinely multi-chunk
+    // stream, not one big chunk.
+    assert!(
+        online.report.stats.chunks() >= 10,
+        "only {} chunks",
+        online.report.stats.chunks()
+    );
+}
+
+#[test]
+fn custom_detector_set_streams_too() {
+    use mawilab::detectors::{Detector, KlDetector, Tuning};
+    let lt = synth(5);
+    let detectors: Vec<Box<dyn Detector>> = vec![Box::new(KlDetector::new(Tuning::Sensitive))];
+    let config = PipelineConfig::default();
+    let batch = MawilabPipeline::new(config.clone())
+        .with_detectors(vec![Box::new(KlDetector::new(Tuning::Sensitive))])
+        .run(&lt.trace);
+    let mut sealed = NoRewindSource::new(TraceChunker::new(lt.trace.clone(), DEFAULT_CHUNK_US));
+    let online = OnlinePipeline::new(config)
+        .with_detectors(detectors)
+        .run(&mut sealed)
+        .unwrap();
+    assert_eq!(sealed.rewinds_refused(), 0);
+    assert_eq!(online.report.communities.alarms, batch.communities.alarms);
+    assert_eq!(online.report.decisions, batch.decisions);
 }
 
 #[test]
@@ -208,10 +301,7 @@ fn anomaly_straddling_a_horizon_boundary_labels_identically() {
     // community into one window without altering any label.
     let lt = synth(3333);
     let config = PipelineConfig::default();
-    let mut oracle_source = TraceChunker::new(lt.trace.clone(), DEFAULT_CHUNK_US);
-    let oracle = StreamingPipeline::new(config.clone())
-        .run(&mut oracle_source)
-        .unwrap();
+    let oracle = MawilabPipeline::new(config.clone()).run(&lt.trace);
 
     let horizon_us = 10_000_000;
     let mut sealed = NoRewindSource::new(TraceChunker::new(lt.trace.clone(), DEFAULT_CHUNK_US));
@@ -336,11 +426,8 @@ fn single_pass_is_identical_at_every_thread_count() {
     std::env::set_var("MAWILAB_THREADS", "1");
     let single = run(&lt);
     // The oracle at one thread anchors the whole matrix to the
-    // two-pass labels.
-    let mut oracle_source = TraceChunker::new(lt.trace.clone(), DEFAULT_CHUNK_US);
-    let oracle = StreamingPipeline::new(config.clone())
-        .run(&mut oracle_source)
-        .unwrap();
+    // batch labels.
+    let oracle = MawilabPipeline::new(config.clone()).run(&lt.trace);
     assert_eq!(single.report.decisions, oracle.decisions);
     assert_labels_identical(
         &single.report.labeled.communities,

@@ -234,22 +234,26 @@ fn rewind_replays_the_identical_chunk_stream() {
 
 #[test]
 fn streaming_pipeline_runs_straight_off_a_pcap_stream() {
-    use mawilab::core::{MawilabPipeline, PipelineConfig, StreamingPipeline};
+    use mawilab::core::{MawilabPipeline, OnlinePipeline, PipelineConfig};
+    use mawilab::model::NoRewindSource;
     use mawilab::synth::{SynthConfig, TraceGenerator};
     let lt = TraceGenerator::new(SynthConfig::default().with_seed(31)).generate();
     let buf = pcap_bytes(&lt.trace);
-    // Round-trip the trace through pcap so both pipelines see the
+    // Round-trip the trace through pcap so the batch oracle sees the
     // serialised packets.
     let (round, skipped) = read_pcap(Cursor::new(&buf), lt.trace.meta.clone()).unwrap();
     assert_eq!(skipped, 0);
     let batch = MawilabPipeline::new(PipelineConfig::default()).run(&round);
 
-    let mut reader =
+    let mut sealed = NoRewindSource::new(
         StreamingPcapReader::new(Cursor::new(&buf), lt.trace.meta.clone(), DEFAULT_CHUNK_US)
-            .unwrap();
-    let streamed = StreamingPipeline::new(PipelineConfig::default())
-        .run(&mut reader)
+            .unwrap(),
+    );
+    let online = OnlinePipeline::new(PipelineConfig::default())
+        .run(&mut sealed)
         .unwrap();
-    assert_eq!(streamed.communities.alarms, batch.communities.alarms);
-    assert_eq!(streamed.decisions, batch.decisions);
+    assert_eq!(sealed.rewinds_refused(), 0);
+    assert_eq!(online.report.communities.alarms, batch.communities.alarms);
+    assert_eq!(online.report.communities.traffic, batch.communities.traffic);
+    assert_eq!(online.report.decisions, batch.decisions);
 }

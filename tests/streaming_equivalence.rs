@@ -1,19 +1,23 @@
-//! Streaming/batch equivalence: the acceptance gate of the streaming
-//! ingest refactor.
+//! Streaming/batch equivalence at the chunk widths the online suite
+//! does not cover.
 //!
-//! `StreamingPipeline` over a chunked source must produce
-//! byte-identical decisions and labels to `MawilabPipeline::run` on
-//! the materialised trace — across seeds, bin widths and
-//! granularities — while the number of packets alive at any moment
-//! stays bounded by one chunk (asserted through a counting source,
-//! not just claimed).
+//! `tests/online_equivalence.rs` pins `OnlinePipeline` to the batch
+//! oracle `MawilabPipeline::run` at 5 s and 20 s chunks. Here the same
+//! streamed run must match batch at the two extremes of chunking: 1 s
+//! chunks, so detector time bins and flows straddle many chunk
+//! boundaries, and one chunk wider than the whole 60 s trace, so the
+//! stream degenerates to a single chunk. Every run is sealed behind a
+//! [`NoRewindSource`].
 
-use mawilab::core::{MawilabPipeline, PipelineConfig, StreamingPipeline};
+use mawilab::core::{MawilabPipeline, OnlinePipeline, PipelineConfig, StreamingReport};
 use mawilab::label::LabeledCommunity;
-use mawilab::model::{
-    Granularity, PacketChunk, PacketSource, SourceError, TraceChunker, TraceMeta, DEFAULT_CHUNK_US,
-};
+use mawilab::model::{Granularity, NoRewindSource, TraceChunker};
 use mawilab::synth::{AnomalySpec, SynthConfig, TraceGenerator};
+
+/// Many chunk boundaries per detector bin.
+const NARROW_CHUNK_US: u64 = 1_000_000;
+/// Wider than the 60 s synthetic trace: the whole trace is one chunk.
+const WHOLE_TRACE_CHUNK_US: u64 = 90_000_000;
 
 fn synth(seed: u64) -> mawilab::synth::LabeledTrace {
     TraceGenerator::new(SynthConfig::default().with_seed(seed).with_anomalies(vec![
@@ -33,6 +37,19 @@ fn synth(seed: u64) -> mawilab::synth::LabeledTrace {
     .generate()
 }
 
+fn stream(
+    lt: &mawilab::synth::LabeledTrace,
+    config: &PipelineConfig,
+    chunk_us: u64,
+) -> StreamingReport {
+    let mut sealed = NoRewindSource::new(TraceChunker::new(lt.trace.clone(), chunk_us));
+    let online = OnlinePipeline::new(config.clone())
+        .run(&mut sealed)
+        .unwrap();
+    assert_eq!(sealed.rewinds_refused(), 0, "streamed run rewound");
+    online.report
+}
+
 /// Field-by-field comparison of labeled communities (the struct holds
 /// f64 metrics, so no derived PartialEq).
 fn assert_labels_identical(streamed: &[LabeledCommunity], batch: &[LabeledCommunity]) {
@@ -42,6 +59,12 @@ fn assert_labels_identical(streamed: &[LabeledCommunity], batch: &[LabeledCommun
         assert_eq!(
             s.label, b.label,
             "taxonomy label of community {}",
+            s.community
+        );
+        assert_eq!(
+            s.confidence.score.to_bits(),
+            b.confidence.score.to_bits(),
+            "confidence score of community {}",
             s.community
         );
         assert_eq!(
@@ -69,11 +92,8 @@ fn streaming_equals_batch_across_seeds_and_bin_widths() {
         let lt = synth(seed);
         let config = PipelineConfig::default();
         let batch = MawilabPipeline::new(config.clone()).run(&lt.trace);
-        for bin_us in [DEFAULT_CHUNK_US, 20_000_000] {
-            let mut source = TraceChunker::new(lt.trace.clone(), bin_us);
-            let streamed = StreamingPipeline::new(config.clone())
-                .run(&mut source)
-                .unwrap();
+        for bin_us in [NARROW_CHUNK_US, WHOLE_TRACE_CHUNK_US] {
+            let streamed = stream(&lt, &config, bin_us);
             assert_eq!(
                 streamed.communities.alarms, batch.communities.alarms,
                 "alarms differ (seed {seed}, bin {bin_us})"
@@ -108,8 +128,7 @@ fn streaming_equals_batch_at_every_granularity() {
             ..Default::default()
         };
         let batch = MawilabPipeline::new(config.clone()).run(&lt.trace);
-        let mut source = TraceChunker::new(lt.trace.clone(), DEFAULT_CHUNK_US);
-        let streamed = StreamingPipeline::new(config).run(&mut source).unwrap();
+        let streamed = stream(&lt, &config, NARROW_CHUNK_US);
         assert_eq!(
             streamed.decisions, batch.decisions,
             "decisions differ at {granularity}"
@@ -120,101 +139,4 @@ fn streaming_equals_batch_at_every_granularity() {
         );
         assert_labels_identical(&streamed.labeled.communities, &batch.labeled.communities);
     }
-}
-
-/// A source that counts how many packets it has handed out in the
-/// currently-lent chunk, and tracks the peak. Because `next_chunk`
-/// lends from a single internal buffer, the packets of chunk N are
-/// gone before chunk N+1 exists — `peak_live` IS the largest chunk,
-/// and the assertion below pins it far under the trace size.
-struct CountingSource {
-    inner: TraceChunker,
-    peak_live: usize,
-    total: u64,
-}
-
-impl CountingSource {
-    fn new(inner: TraceChunker) -> Self {
-        CountingSource {
-            inner,
-            peak_live: 0,
-            total: 0,
-        }
-    }
-}
-
-impl PacketSource for CountingSource {
-    fn meta(&self) -> &TraceMeta {
-        self.inner.meta()
-    }
-
-    fn bin_us(&self) -> u64 {
-        self.inner.bin_us()
-    }
-
-    fn next_chunk(&mut self) -> Result<Option<&PacketChunk>, SourceError> {
-        match self.inner.next_chunk()? {
-            Some(chunk) => {
-                self.peak_live = self.peak_live.max(chunk.packets.len());
-                self.total += chunk.packets.len() as u64;
-                Ok(Some(chunk))
-            }
-            None => Ok(None),
-        }
-    }
-
-    fn rewind(&mut self) -> Result<(), SourceError> {
-        self.inner.rewind()
-    }
-}
-
-#[test]
-fn peak_live_packet_memory_is_bounded_by_one_chunk() {
-    let lt = synth(11);
-    let total = lt.trace.len();
-    assert!(
-        total > 10_000,
-        "trace too small to make the bound meaningful: {total}"
-    );
-    let mut source = CountingSource::new(TraceChunker::new(lt.trace.clone(), DEFAULT_CHUNK_US));
-    let report = StreamingPipeline::new(PipelineConfig::default())
-        .run(&mut source)
-        .unwrap();
-
-    // Both passes drained everything…
-    assert_eq!(source.total, 2 * total as u64);
-    // …but the pipeline never saw more than one chunk's packets at a
-    // time, and the report's own accounting agrees with the source's.
-    assert_eq!(report.stats.peak_chunk_packets, source.peak_live);
-    assert!(
-        source.peak_live * 4 < total,
-        "peak live packets {} is not clearly below trace size {}",
-        source.peak_live,
-        total
-    );
-    // The 60 s trace cut into 5 s bins: a genuinely multi-chunk
-    // stream, not one big chunk.
-    assert!(
-        report.stats.chunks() >= 10,
-        "only {} chunks",
-        report.stats.chunks()
-    );
-}
-
-#[test]
-fn custom_detector_set_streams_too() {
-    use mawilab::detectors::{Detector, KlDetector, Tuning};
-    let lt = synth(5);
-    let detectors: Vec<Box<dyn Detector>> = vec![Box::new(KlDetector::new(Tuning::Sensitive))];
-    let config = PipelineConfig::default();
-    let batch = MawilabPipeline::new(config.clone())
-        .with_detectors(vec![Box::new(KlDetector::new(Tuning::Sensitive))])
-        .run(&lt.trace);
-    let mut source = TraceChunker::new(lt.trace.clone(), DEFAULT_CHUNK_US);
-    let streamed = StreamingPipeline::new(config)
-        .with_detectors(detectors)
-        .run(&mut source)
-        .unwrap();
-    assert_eq!(streamed.communities.alarms, batch.communities.alarms);
-    assert_eq!(streamed.decisions, batch.decisions);
 }
