@@ -3,7 +3,7 @@
 //!
 //! A live link cannot be replayed, so [`OnlinePipeline`] labels a
 //! source in **one drain**: as each chunk streams past, every
-//! detector configuration observes it *and* the extraction/labeling
+//! detector family's accumulator observes it *and* the extraction/labeling
 //! evidence is banked (traffic-unit ids from the incremental
 //! `ItemIndex`, compact `(FlowKey, ts, id)` records in the
 //! [`HorizonExtractor`], monoidal per-unit [`CommunityEvidence`]
@@ -51,9 +51,7 @@
 use crate::pipeline::{LabeledReport, PipelineConfig, PipelineTimings};
 use crate::warm::WarmState;
 use mawilab_combiner::{label_confidences, Decision, VoteTable};
-use mawilab_detectors::{
-    finish_all, observe_all, standard_configurations, ChunkView, Detector, IncrementalDetector,
-};
+use mawilab_detectors::{standard_configurations, ChunkView, Detector, FamilyRun};
 use mawilab_label::{
     label_communities_streaming, window_communities, CommunityEvidence, LabeledWindow,
 };
@@ -91,6 +89,9 @@ pub struct StreamStats {
     pub peak_chunk_packets: usize,
     /// Distinct traffic units assigned during extraction.
     pub items: usize,
+    /// Detector accumulators the drain fed: one per family for the
+    /// standard configurations, however many tunings share it.
+    pub accumulators: usize,
 }
 
 impl StreamStats {
@@ -145,15 +146,6 @@ impl StreamingReport {
         self.communities.community_count()
     }
 }
-
-/// Chunks below this packet count are observed inline rather than
-/// fanned out: `observe_all` spins up a scoped-thread round per call,
-/// and for near-empty chunks (narrow `--chunk-us` bins, quiet
-/// periods) the spawn/join barrier would dwarf the detector work
-/// itself. The cutover is by chunk size only — never by thread count
-/// — so output stays identical at any `MAWILAB_THREADS` setting
-/// (detectors are independent; only the schedule changes).
-pub(crate) const FANOUT_MIN_CHUNK_PACKETS: usize = 1024;
 
 /// Everything one single-pass run produced: the full
 /// [`StreamingReport`] plus the per-horizon label feed.
@@ -277,8 +269,8 @@ impl OnlinePipeline {
         }
     }
 
-    /// Replaces the detector set (any batch [`Detector`] works — its
-    /// incremental form is used).
+    /// Replaces the detector set (any [`Detector`] works; configurations
+    /// with equal accumulator specs share one accumulator).
     pub fn with_detectors(mut self, detectors: Vec<Box<dyn Detector>>) -> Self {
         self.detectors = detectors;
         self
@@ -315,8 +307,8 @@ impl OnlinePipeline {
     }
 
     /// [`run`](Self::run) with day-over-day warm state: detector
-    /// baselines start from the carried priors
-    /// ([`warm_begin`](IncrementalDetector::warm_begin)), the Louvain
+    /// finishes blend their baselines with the carried priors
+    /// ([`FamilyRun::finish`]), the Louvain
     /// stage is seeded from yesterday's communities, and the finished
     /// day's state is absorbed back for tomorrow. `None` — or warm
     /// state with `decay == 0.0` — is the cold path, byte for byte.
@@ -333,28 +325,16 @@ impl OnlinePipeline {
         };
         let mut drain = DrainStats::default();
 
-        // The one drain: detectors observe each chunk (detector state
-        // is chunk-boundary invariant, so every alarm equals the batch
-        // run's), while the extraction/labeling evidence is banked
-        // alongside.
+        // The one drain: the family accumulators observe each chunk
+        // (detector state is chunk-boundary invariant, so every alarm
+        // equals the batch run's), while the extraction/labeling
+        // evidence is banked alongside.
         let t0 = Instant::now();
         if let Some(w) = warm.as_deref_mut() {
             w.begin_day(meta.era, meta.date);
         }
-        let mut incs: Vec<Box<dyn IncrementalDetector>> =
-            self.detectors.iter().map(|d| d.incremental()).collect();
-        for inc in &mut incs {
-            match warm.as_deref() {
-                Some(w) => {
-                    let label = inc.label();
-                    // The gap-compounded decay: a multi-day calendar
-                    // gap shrinks yesterday's priors by decay^gap, so
-                    // an epoch jump is effectively a cold start.
-                    inc.warm_begin(&meta, w.prior_for(&label), w.effective_decay());
-                }
-                None => inc.begin(&meta),
-            }
-        }
+        let mut detectors = FamilyRun::begin(&self.detectors, &meta);
+        stats.accumulators = detectors.accumulator_count();
         let mut index = ItemIndex::new(self.config.granularity);
         let mut evidence = CommunityEvidence::new(self.config.granularity);
         let mut horizon = HorizonExtractor::new(self.lag_us);
@@ -364,27 +344,25 @@ impl OnlinePipeline {
             drain.chunks += 1;
             drain.packets += chunk.packets.len() as u64;
             stats.peak_chunk_packets = stats.peak_chunk_packets.max(chunk.packets.len());
-            let view = ChunkView::of_chunk(&meta, chunk);
-            if chunk.packets.len() < FANOUT_MIN_CHUNK_PACKETS {
-                for inc in &mut incs {
-                    inc.observe(&view);
-                }
-            } else {
-                observe_all(&mut incs, &view);
-            }
+            detectors.observe(&ChunkView::of_chunk(&meta, chunk));
             index.ids_of(&chunk.packets, &mut ids);
             horizon.observe(chunk.window, &chunk.packets, &ids);
             evidence.observe_units(&chunk.packets, &ids);
             seals.advance(chunk.window.end_us);
         }
-        let alarms = finish_all(&mut incs);
+        // The gap-compounded decay: a multi-day calendar gap shrinks
+        // yesterday's priors by decay^gap, so an epoch jump is
+        // effectively a cold start.
+        let finished = match warm.as_deref() {
+            Some(w) => detectors.finish(|label| w.prior_for(label), w.effective_decay()),
+            None => detectors.finish(|_| None, 0.0),
+        };
         if let Some(w) = warm.as_deref_mut() {
-            for inc in &mut incs {
-                let label = inc.label();
-                w.absorb_prior(label, inc.export_prior());
+            for (label, prior) in finished.priors {
+                w.absorb_prior(label, prior);
             }
         }
-        drop(incs);
+        let alarms = finished.alarms;
         stats.drains = vec![drain];
         let detect = t0.elapsed();
 
@@ -526,6 +504,9 @@ mod tests {
         );
         assert!(online.report.stats.peak_chunk_packets < lt.trace.len());
         assert_eq!(online.report.stats.horizon_lag_us, Some(DEFAULT_LAG_US));
+        // The 12 standard configurations share one accumulator per
+        // family.
+        assert_eq!(online.report.stats.accumulators, 4);
     }
 
     #[test]

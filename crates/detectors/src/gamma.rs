@@ -19,7 +19,9 @@
 
 use crate::alarm::{Alarm, AlarmScope, DetectorKind, Tuning};
 use crate::warm::{blend, DetectorPrior, GammaPrior, GammaRowPrior};
-use crate::{ChunkView, Detector, IncrementalDetector};
+use crate::{
+    Accumulator, AccumulatorSpec, ChunkView, ConfigRun, Detector, Finished, IncrementalDetector,
+};
 use mawilab_model::{TimeWindow, TraceMeta};
 use mawilab_sketch::SketchFamily;
 use mawilab_stats::{mad, median, Gamma};
@@ -33,21 +35,28 @@ enum Direction {
     Dst,
 }
 
-/// The sketch + multi-resolution Gamma detector (one configuration).
-#[derive(Debug, Clone)]
-pub struct GammaDetector {
-    tuning: Tuning,
+/// The sketch geometry of the Gamma family: everything the
+/// accumulator reads while observing. The three tunings share it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GammaSketch {
     /// Finest aggregation scale, microseconds.
     delta_us: u64,
-    /// Number of dyadic scales (j = 0..scales).
-    scales: usize,
     /// Sketch width per hash row.
     sketch_width: usize,
     /// Independent hash rows.
     sketch_rows: usize,
+    seed: u64,
+}
+
+/// The sketch + multi-resolution Gamma detector (one configuration).
+#[derive(Debug, Clone)]
+pub struct GammaDetector {
+    tuning: Tuning,
+    sketch: GammaSketch,
+    /// Number of dyadic scales (j = 0..scales).
+    scales: usize,
     /// Robust-distance threshold λ.
     lambda: f64,
-    seed: u64,
 }
 
 impl GammaDetector {
@@ -60,12 +69,14 @@ impl GammaDetector {
         };
         GammaDetector {
             tuning,
-            delta_us: 500_000,
+            sketch: GammaSketch {
+                delta_us: 500_000,
+                sketch_width: 16,
+                sketch_rows: 3,
+                seed: 0x6A44_0002,
+            },
             scales: 4,
-            sketch_width: 16,
-            sketch_rows: 3,
             lambda,
-            seed: 0x6A44_0002,
         }
     }
 
@@ -95,25 +106,14 @@ impl GammaDetector {
         Some(feats)
     }
 
-    /// Per-direction sketch accumulator state.
-    fn direction_state(&self, dir: Direction, t_bins: usize) -> GammaDirState {
-        let seed = self.seed ^ if dir == Direction::Src { 0 } else { 0xFFFF };
-        GammaDirState {
-            dir,
-            sketch: SketchFamily::new(self.sketch_rows, self.sketch_width, seed),
-            series: vec![vec![vec![0.0f64; t_bins]; self.sketch_width]; self.sketch_rows],
-            hosts: HashSet::new(),
-        }
-    }
-
     /// Analyses one direction's accumulated sketch state. `dir_idx`
     /// selects this direction's block of carried reference
     /// trajectories; the (possibly blended) references are appended to
     /// `export` in the same `dir * sketch_rows + row` order.
     fn finish_direction(
         &self,
+        acc: &GammaAccumulator,
         state: &GammaDirState,
-        window: TimeWindow,
         dir_idx: usize,
         warm: Option<(&GammaPrior, f64)>,
         export: &mut GammaPrior,
@@ -125,10 +125,11 @@ impl GammaDetector {
             series,
             hosts,
         } = state;
+        let (sketch_rows, sketch_width) = (acc.geometry.sketch_rows, acc.geometry.sketch_width);
 
         // Per row: trajectories → robust distance from the median
         // trajectory → flagged bins.
-        let mut flagged: Vec<Vec<bool>> = Vec::with_capacity(self.sketch_rows);
+        let mut flagged: Vec<Vec<bool>> = Vec::with_capacity(sketch_rows);
         let mut flagged_any = false;
         let mut max_score: f64 = 0.0;
         for (row, per_bin) in series.iter().enumerate() {
@@ -145,7 +146,7 @@ impl GammaDetector {
             // Pull the reference toward the carried prior
             // (shape-checked); cold runs keep today's values bitwise.
             if let Some((p, w)) = warm {
-                if let Some(pr) = p.rows.get(dir_idx * self.sketch_rows + row) {
+                if let Some(pr) = p.rows.get(dir_idx * sketch_rows + row) {
                     if pr.med.len() == dim && pr.scale.len() == dim {
                         for d in 0..dim {
                             med[d] = blend(med[d], pr.med[d], w);
@@ -158,7 +159,7 @@ impl GammaDetector {
                 med: med.clone(),
                 scale: scale.clone(),
             });
-            let mut flags = vec![false; self.sketch_width];
+            let mut flags = vec![false; sketch_width];
             for (bin, traj) in trajs.iter().enumerate() {
                 let Some(t) = traj else { continue };
                 let mut dist = 0.0;
@@ -195,7 +196,7 @@ impl GammaDetector {
             out.push(Alarm {
                 detector: DetectorKind::Gamma,
                 tuning: self.tuning,
-                window,
+                window: acc.window,
                 scope: match dir {
                     Direction::Src => AlarmScope::SrcHost(ip),
                     Direction::Dst => AlarmScope::DstHost(ip),
@@ -215,16 +216,70 @@ impl Detector for GammaDetector {
         self.tuning
     }
 
+    fn accumulator(&self) -> AccumulatorSpec {
+        AccumulatorSpec::Gamma(self.sketch.clone())
+    }
+
+    /// Analyses both directions of the accumulated state (read only).
+    /// An empty trace exports no prior.
+    fn finish(&self, acc: &Accumulator, warm: Option<(&DetectorPrior, f64)>) -> Finished {
+        let Accumulator::Gamma(acc) = acc else {
+            return Finished::default();
+        };
+        if acc.seen == 0 {
+            return Finished::default();
+        }
+        let warm = warm.and_then(|(p, w)| match p {
+            DetectorPrior::Gamma(p) => Some((p, w)),
+            _ => None,
+        });
+        let mut alarms = Vec::new();
+        let mut export = GammaPrior::default();
+        for (dir_idx, state) in acc.dirs.iter().enumerate() {
+            self.finish_direction(acc, state, dir_idx, warm, &mut export, &mut alarms);
+        }
+        Finished {
+            alarms,
+            prior: Some(DetectorPrior::Gamma(export)),
+        }
+    }
+
     fn incremental(&self) -> Box<dyn IncrementalDetector> {
-        Box::new(GammaAccumulator {
-            det: self.clone(),
-            window: None,
-            t_bins: 0,
+        Box::new(ConfigRun::new(self.clone()))
+    }
+}
+
+impl GammaSketch {
+    /// Per-direction sketch accumulator state.
+    fn direction_state(&self, dir: Direction, t_bins: usize) -> GammaDirState {
+        let seed = self.seed ^ if dir == Direction::Src { 0 } else { 0xFFFF };
+        GammaDirState {
+            dir,
+            sketch: SketchFamily::new(self.sketch_rows, self.sketch_width, seed),
+            series: vec![vec![vec![0.0f64; t_bins]; self.sketch_width]; self.sketch_rows],
+            hosts: HashSet::new(),
+        }
+    }
+
+    /// Starts the family accumulator over one trace.
+    pub fn begin(&self, meta: &TraceMeta) -> GammaAccumulator {
+        let window = meta.window();
+        let t_bins = (window.len_us() / self.delta_us) as usize;
+        let dirs = if t_bins < 8 {
+            Vec::new() // too short to analyse; observe() becomes a no-op
+        } else {
+            vec![
+                self.direction_state(Direction::Src, t_bins),
+                self.direction_state(Direction::Dst, t_bins),
+            ]
+        };
+        GammaAccumulator {
+            geometry: self.clone(),
+            window,
+            t_bins,
             seen: 0,
-            dirs: Vec::new(),
-            warm: None,
-            export: None,
-        })
+            dirs,
+        }
     }
 }
 
@@ -237,58 +292,30 @@ struct GammaDirState {
     hosts: HashSet<u32>,
 }
 
-/// Incremental form of [`GammaDetector`]: chunk observation folds
-/// packets into per-(row, bin) count series keyed by absolute time
-/// bin; the Gamma fitting and sketch reversal run once at finish.
+/// The Gamma family accumulator: chunk observation folds packets into
+/// per-(row, bin) count series keyed by absolute time bin; every
+/// tuning's Gamma fitting and sketch reversal read it at finish.
 pub struct GammaAccumulator {
-    det: GammaDetector,
-    window: Option<TimeWindow>,
+    geometry: GammaSketch,
+    window: TimeWindow,
     t_bins: usize,
     seen: u64,
     dirs: Vec<GammaDirState>,
-    /// Carried reference trajectories + decay; `None` = cold start.
-    warm: Option<(GammaPrior, f64)>,
-    /// Updated references, filled by `finish` for `export_prior`.
-    export: Option<GammaPrior>,
 }
 
-impl IncrementalDetector for GammaAccumulator {
-    fn kind(&self) -> DetectorKind {
-        DetectorKind::Gamma
-    }
-
-    fn tuning(&self) -> Tuning {
-        self.det.tuning
-    }
-
-    fn begin(&mut self, meta: &TraceMeta) {
-        let window = meta.window();
-        self.window = Some(window);
-        self.t_bins = (window.len_us() / self.det.delta_us) as usize;
-        self.seen = 0;
-        self.warm = None;
-        self.export = None;
-        self.dirs = if self.t_bins < 8 {
-            Vec::new() // too short to analyse; observe() becomes a no-op
-        } else {
-            vec![
-                self.det.direction_state(Direction::Src, self.t_bins),
-                self.det.direction_state(Direction::Dst, self.t_bins),
-            ]
-        };
-    }
-
-    fn observe(&mut self, chunk: &ChunkView<'_>) {
+impl GammaAccumulator {
+    /// Folds one chunk of packets into both directions' count series.
+    pub fn observe(&mut self, chunk: &ChunkView<'_>) {
         if self.dirs.is_empty() {
             return;
         }
-        let window = self.window.expect("observe before begin"); // lint:allow(panic-free-data-plane): begin() runs before observe() in the chunk driver
+        let (start_us, delta_us) = (self.window.start_us, self.geometry.delta_us);
         self.seen += chunk.packets.len() as u64;
         for p in chunk.packets {
-            let Some(dt) = p.ts_us.checked_sub(window.start_us) else {
+            let Some(dt) = p.ts_us.checked_sub(start_us) else {
                 continue;
             };
-            let t = (dt / self.det.delta_us) as usize;
+            let t = (dt / delta_us) as usize;
             if t >= self.t_bins {
                 continue;
             }
@@ -303,35 +330,6 @@ impl IncrementalDetector for GammaAccumulator {
                 }
             }
         }
-    }
-
-    fn finish(&mut self) -> Vec<Alarm> {
-        let mut out = Vec::new();
-        if self.seen == 0 {
-            return out;
-        }
-        let window = self.window.expect("finish before begin"); // lint:allow(panic-free-data-plane): begin() runs before finish() in the chunk driver
-        let warm = self.warm.as_ref().map(|(p, w)| (p, *w));
-        let mut export = GammaPrior::default();
-        for (dir_idx, state) in self.dirs.iter().enumerate() {
-            self.det
-                .finish_direction(state, window, dir_idx, warm, &mut export, &mut out);
-        }
-        self.export = Some(export);
-        out
-    }
-
-    fn warm_begin(&mut self, meta: &TraceMeta, prior: Option<&DetectorPrior>, decay: f64) {
-        self.begin(meta);
-        if decay > 0.0 {
-            if let Some(DetectorPrior::Gamma(p)) = prior {
-                self.warm = Some((p.clone(), decay));
-            }
-        }
-    }
-
-    fn export_prior(&mut self) -> Option<DetectorPrior> {
-        self.export.take().map(DetectorPrior::Gamma)
     }
 }
 

@@ -13,7 +13,10 @@
 //! to this detector.
 
 use crate::alarm::{Alarm, AlarmScope, DetectorKind, Tuning};
-use crate::{ChunkView, Detector, IncrementalDetector};
+use crate::{
+    Accumulator, AccumulatorSpec, ChunkView, ConfigRun, Detector, DetectorPrior, Finished,
+    IncrementalDetector,
+};
 use mawilab_model::{FlowKey, TimeWindow, TraceMeta};
 use std::collections::{HashMap, HashSet};
 
@@ -31,14 +34,21 @@ enum Picture {
     Addr,
 }
 
-/// The Hough-transform line detector (one configuration).
-#[derive(Debug, Clone)]
-pub struct HoughDetector {
-    tuning: Tuning,
+/// The picture geometry of the Hough family: everything the
+/// accumulator reads while painting. The three tunings share it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HoughPictures {
     /// Picture width (time bins).
     time_bins: usize,
     /// Picture height.
     y_bins: usize,
+}
+
+/// The Hough-transform line detector (one configuration).
+#[derive(Debug, Clone)]
+pub struct HoughDetector {
+    tuning: Tuning,
+    pictures: HoughPictures,
     /// Packets needed to activate a pixel.
     pixel_min: u32,
     /// Accumulator votes needed to accept a line.
@@ -61,8 +71,10 @@ impl HoughDetector {
         };
         HoughDetector {
             tuning,
-            time_bins: 120,
-            y_bins: 1024,
+            pictures: HoughPictures {
+                time_bins: 120,
+                y_bins: 1024,
+            },
             pixel_min,
             min_line_pixels,
             max_lines,
@@ -71,30 +83,20 @@ impl HoughDetector {
         }
     }
 
-    /// Pixel of one packet in one picture.
-    fn pixel(
-        &self,
-        picture: Picture,
-        window_start_us: u64,
-        bin_us: u64,
-        p: &mawilab_model::Packet,
-    ) -> (u16, u16) {
-        let x =
-            ((p.ts_us.saturating_sub(window_start_us) / bin_us) as usize).min(self.time_bins - 1);
-        let y = match picture {
-            Picture::Port => (p.dport as usize * self.y_bins) >> 16, // port/64
-            Picture::Addr => (u32::from(p.dst).wrapping_mul(2_654_435_761) as usize) % self.y_bins,
-        };
-        (x as u16, y as u16)
-    }
-
+    /// This tuning's line detection over one accumulated picture (read
+    /// only).
     fn finish_picture(
         &self,
-        window: TimeWindow,
-        bin_us: u64,
+        painted: &HoughAccumulator,
         cells: &PictureCells,
         out: &mut Vec<Alarm>,
     ) {
+        let HoughAccumulator {
+            geometry: HoughPictures { time_bins, y_bins },
+            window,
+            bin_us,
+            ..
+        } = *painted;
         // Per-row (y) baseline: the median count across all time bins
         // of the row, zeros included. A pixel is *anomalous* only when
         // it exceeds the baseline by `pixel_min` — constant service
@@ -107,8 +109,8 @@ impl HoughDetector {
         }
         let mut row_median: HashMap<u16, u32> = HashMap::new();
         for (y, mut counts) in row_counts {
-            let zeros = self.time_bins.saturating_sub(counts.len());
-            let mid = self.time_bins / 2;
+            let zeros = time_bins.saturating_sub(counts.len());
+            let mid = time_bins / 2;
             let med = if zeros > mid {
                 0
             } else {
@@ -144,8 +146,8 @@ impl HoughDetector {
         let mut acc: HashMap<(u16, u16), u32> = HashMap::new();
         let coord = |(x, y): (u16, u16)| {
             (
-                (x as f64 + 0.5) / self.time_bins as f64,
-                (y as f64 + 0.5) / self.y_bins as f64,
+                (x as f64 + 0.5) / time_bins as f64,
+                (y as f64 + 0.5) / y_bins as f64,
             )
         };
         for &(px, _) in &pixels {
@@ -227,76 +229,93 @@ impl Detector for HoughDetector {
         self.tuning
     }
 
+    fn accumulator(&self) -> AccumulatorSpec {
+        AccumulatorSpec::Hough(self.pictures.clone())
+    }
+
+    /// Line detection over both pictures. Hough carries no warm prior.
+    fn finish(&self, acc: &Accumulator, _warm: Option<(&DetectorPrior, f64)>) -> Finished {
+        let Accumulator::Hough(acc) = acc else {
+            return Finished::default();
+        };
+        let mut alarms = Vec::new();
+        if acc.seen > 0 {
+            for (_, cells) in &acc.pictures {
+                self.finish_picture(acc, cells, &mut alarms);
+            }
+        }
+        Finished {
+            alarms,
+            prior: None,
+        }
+    }
+
     fn incremental(&self) -> Box<dyn IncrementalDetector> {
-        Box::new(HoughAccumulator {
-            det: self.clone(),
-            window: None,
-            bin_us: 1,
+        Box::new(ConfigRun::new(self.clone()))
+    }
+}
+
+impl HoughPictures {
+    /// Pixel of one packet in one picture.
+    fn pixel(
+        &self,
+        picture: Picture,
+        window_start_us: u64,
+        bin_us: u64,
+        p: &mawilab_model::Packet,
+    ) -> (u16, u16) {
+        let x =
+            ((p.ts_us.saturating_sub(window_start_us) / bin_us) as usize).min(self.time_bins - 1);
+        let y = match picture {
+            Picture::Port => (p.dport as usize * self.y_bins) >> 16, // port/64
+            Picture::Addr => (u32::from(p.dst).wrapping_mul(2_654_435_761) as usize) % self.y_bins,
+        };
+        (x as u16, y as u16)
+    }
+
+    /// Starts the family accumulator over one trace.
+    pub fn begin(&self, meta: &TraceMeta) -> HoughAccumulator {
+        let window = meta.window();
+        HoughAccumulator {
+            geometry: self.clone(),
+            window,
+            bin_us: (window.len_us() / self.time_bins as u64).max(1),
             seen: 0,
             pictures: [
                 (Picture::Port, HashMap::new()),
                 (Picture::Addr, HashMap::new()),
             ],
-        })
+        }
     }
 }
 
-/// Incremental form of [`HoughDetector`]: chunk observation paints
-/// packets into the two sparse pictures (pixel → count + contributing
-/// flow keys, keyed by absolute time bin); the Hough transform and
-/// peak extraction run once at finish.
+/// The Hough family accumulator: chunk observation paints packets
+/// into the two sparse pictures (pixel → count + contributing flow
+/// keys, keyed by absolute time bin); every tuning's Hough transform
+/// and peak extraction read it at finish.
 pub struct HoughAccumulator {
-    det: HoughDetector,
-    window: Option<TimeWindow>,
+    geometry: HoughPictures,
+    window: TimeWindow,
     bin_us: u64,
     seen: u64,
     pictures: [(Picture, PictureCells); 2],
 }
 
-impl IncrementalDetector for HoughAccumulator {
-    fn kind(&self) -> DetectorKind {
-        DetectorKind::Hough
-    }
-
-    fn tuning(&self) -> Tuning {
-        self.det.tuning
-    }
-
-    fn begin(&mut self, meta: &TraceMeta) {
-        let window = meta.window();
-        self.window = Some(window);
-        self.bin_us = (window.len_us() / self.det.time_bins as u64).max(1);
-        self.seen = 0;
-        for (_, cells) in &mut self.pictures {
-            cells.clear();
-        }
-    }
-
-    fn observe(&mut self, chunk: &ChunkView<'_>) {
-        let window = self.window.expect("observe before begin"); // lint:allow(panic-free-data-plane): begin() runs before observe() in the chunk driver
+impl HoughAccumulator {
+    /// Paints one chunk of packets into both pictures.
+    pub fn observe(&mut self, chunk: &ChunkView<'_>) {
         self.seen += chunk.packets.len() as u64;
         for p in chunk.packets {
             let key = FlowKey::of(p);
             for (picture, cells) in &mut self.pictures {
-                let px = self.det.pixel(*picture, window.start_us, self.bin_us, p);
+                let px = self
+                    .geometry
+                    .pixel(*picture, self.window.start_us, self.bin_us, p);
                 let cell = cells.entry(px).or_default();
                 cell.0 += 1;
                 cell.1.insert(key);
             }
         }
-    }
-
-    fn finish(&mut self) -> Vec<Alarm> {
-        let mut out = Vec::new();
-        if self.seen == 0 {
-            return out;
-        }
-        let window = self.window.expect("finish before begin"); // lint:allow(panic-free-data-plane): begin() runs before finish() in the chunk driver
-        for (_, cells) in &self.pictures {
-            self.det
-                .finish_picture(window, self.bin_us, cells, &mut out);
-        }
-        out
     }
 }
 

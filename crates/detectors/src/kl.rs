@@ -18,7 +18,9 @@
 
 use crate::alarm::{Alarm, AlarmScope, DetectorKind, Tuning};
 use crate::warm::{blend, DetectorPrior, KlPrior};
-use crate::{ChunkView, Detector, IncrementalDetector};
+use crate::{
+    Accumulator, AccumulatorSpec, ChunkView, ConfigRun, Detector, Finished, IncrementalDetector,
+};
 use mawilab_mining::{mine_rules, Transaction};
 use mawilab_model::{TimeWindow, TraceMeta};
 use mawilab_stats::{kl_contributions, kl_divergence_counts, mad, median, Histogram};
@@ -97,14 +99,21 @@ impl PacketTuple {
     }
 }
 
-/// The KL-divergence histogram detector (one configuration).
-#[derive(Debug, Clone)]
-pub struct KlDetector {
-    tuning: Tuning,
+/// The histogram geometry of the KL family: everything the
+/// accumulator reads while observing. The three tunings share it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KlHistograms {
     /// Time-bin width, microseconds.
     bin_us: u64,
     /// Histogram cells per feature.
     hist_bins: usize,
+}
+
+/// The KL-divergence histogram detector (one configuration).
+#[derive(Debug, Clone)]
+pub struct KlDetector {
+    tuning: Tuning,
+    histograms: KlHistograms,
     /// Divergence threshold multiplier λ (μ + λσ over the series).
     lambda: f64,
     /// Histogram cells inspected per spike.
@@ -123,8 +132,10 @@ impl KlDetector {
         };
         KlDetector {
             tuning,
-            bin_us: 5_000_000,
-            hist_bins: 128,
+            histograms: KlHistograms {
+                bin_us: 5_000_000,
+                hist_bins: 128,
+            },
             lambda,
             top_cells,
             min_support: 0.2,
@@ -149,128 +160,116 @@ impl Detector for KlDetector {
         self.tuning
     }
 
+    fn accumulator(&self) -> AccumulatorSpec {
+        AccumulatorSpec::Kl(self.histograms.clone())
+    }
+
+    fn finish(&self, acc: &Accumulator, warm: Option<(&DetectorPrior, f64)>) -> Finished {
+        let Accumulator::Kl(acc) = acc else {
+            return Finished::default();
+        };
+        if acc.hists.is_empty() || acc.seen == 0 {
+            return Finished::default();
+        }
+        let warm = warm.and_then(|(p, w)| match p {
+            DetectorPrior::Kl(p) => Some((p, w)),
+            _ => None,
+        });
+        let (alarms, export) = self.finish_analysis(acc, warm);
+        Finished {
+            alarms,
+            prior: Some(DetectorPrior::Kl(export)),
+        }
+    }
+
     fn incremental(&self) -> Box<dyn IncrementalDetector> {
-        Box::new(KlAccumulator {
-            det: self.clone(),
-            window: None,
-            t_bins: 0,
-            seen: 0,
-            hists: Vec::new(),
-            bin_tuples: Vec::new(),
-            warm: None,
-            export: None,
-        })
+        Box::new(ConfigRun::new(self.clone()))
     }
 }
 
-/// Incremental form of [`KlDetector`]: chunk observation folds
-/// packets into per-(feature, bin) histograms plus per-bin 4-tuple
-/// counts keyed by absolute time bin; divergence thresholding and
-/// rule mining run once at finish.
+impl KlHistograms {
+    /// Starts the family accumulator over one trace.
+    pub fn begin(&self, meta: &TraceMeta) -> KlAccumulator {
+        let window = meta.window();
+        let t_bins = (window.len_us() / self.bin_us) as usize;
+        let (hists, bin_tuples) = if t_bins < 3 {
+            (Vec::new(), Vec::new())
+        } else {
+            (
+                FEATURES
+                    .iter()
+                    .map(|_| {
+                        (0..t_bins)
+                            .map(|_| Histogram::new(self.hist_bins))
+                            .collect()
+                    })
+                    .collect(),
+                vec![HashMap::new(); t_bins],
+            )
+        };
+        KlAccumulator {
+            geometry: self.clone(),
+            window,
+            t_bins,
+            seen: 0,
+            hists,
+            bin_tuples,
+        }
+    }
+}
+
+/// The KL family accumulator: chunk observation folds packets into
+/// per-(feature, bin) histograms plus per-bin 4-tuple counts keyed by
+/// absolute time bin; every tuning's divergence thresholding and rule
+/// mining read it at finish.
 pub struct KlAccumulator {
-    det: KlDetector,
-    window: Option<TimeWindow>,
+    geometry: KlHistograms,
+    window: TimeWindow,
     t_bins: usize,
     seen: u64,
-    /// `hists[feature][t]`.
+    /// `hists[feature][t]`; empty when the trace is too short.
     hists: Vec<Vec<Histogram>>,
     /// Distinct 4-tuples with multiplicities, per time bin.
     bin_tuples: Vec<HashMap<PacketTuple, u32>>,
-    /// Carried divergence baselines + decay; `None` = cold start.
-    warm: Option<(KlPrior, f64)>,
-    /// Updated baselines, filled by `finish` for `export_prior`.
-    export: Option<KlPrior>,
 }
 
-impl IncrementalDetector for KlAccumulator {
-    fn kind(&self) -> DetectorKind {
-        DetectorKind::Kl
-    }
-
-    fn tuning(&self) -> Tuning {
-        self.det.tuning
-    }
-
-    fn begin(&mut self, meta: &TraceMeta) {
-        let window = meta.window();
-        self.window = Some(window);
-        self.t_bins = (window.len_us() / self.det.bin_us) as usize;
-        self.seen = 0;
-        self.warm = None;
-        self.export = None;
-        if self.t_bins < 3 {
-            self.hists = Vec::new();
-            self.bin_tuples = Vec::new();
-        } else {
-            self.hists = FEATURES
-                .iter()
-                .map(|_| {
-                    (0..self.t_bins)
-                        .map(|_| Histogram::new(self.det.hist_bins))
-                        .collect()
-                })
-                .collect();
-            self.bin_tuples = vec![HashMap::new(); self.t_bins];
-        }
-    }
-
-    fn observe(&mut self, chunk: &ChunkView<'_>) {
+impl KlAccumulator {
+    /// Folds one chunk of packets into the histograms and tuple counts.
+    pub fn observe(&mut self, chunk: &ChunkView<'_>) {
         if self.hists.is_empty() {
             return;
         }
-        let window = self.window.expect("observe before begin"); // lint:allow(panic-free-data-plane): begin() runs before observe() in the chunk driver
+        let (start_us, bin_us) = (self.window.start_us, self.geometry.bin_us);
         self.seen += chunk.packets.len() as u64;
         for p in chunk.packets {
-            let t = ((p.ts_us.saturating_sub(window.start_us) / self.det.bin_us) as usize)
-                .min(self.t_bins - 1);
+            let t = ((p.ts_us.saturating_sub(start_us) / bin_us) as usize).min(self.t_bins - 1);
             for (fi, f) in FEATURES.iter().enumerate() {
                 self.hists[fi][t].add(f.key(p));
             }
             *self.bin_tuples[t].entry(PacketTuple::of(p)).or_insert(0) += 1;
         }
     }
-
-    fn finish(&mut self) -> Vec<Alarm> {
-        if self.hists.is_empty() || self.seen == 0 {
-            return Vec::new();
-        }
-        let window = self.window.expect("finish before begin"); // lint:allow(panic-free-data-plane): begin() runs before finish() in the chunk driver
-        let warm = self.warm.as_ref().map(|(p, w)| (p, *w));
-        let (alarms, export) =
-            self.det
-                .finish_analysis(window, self.t_bins, &self.hists, &self.bin_tuples, warm);
-        self.export = Some(export);
-        alarms
-    }
-
-    fn warm_begin(&mut self, meta: &TraceMeta, prior: Option<&DetectorPrior>, decay: f64) {
-        self.begin(meta);
-        if decay > 0.0 {
-            if let Some(DetectorPrior::Kl(p)) = prior {
-                self.warm = Some((p.clone(), decay));
-            }
-        }
-    }
-
-    fn export_prior(&mut self) -> Option<DetectorPrior> {
-        self.export.take().map(DetectorPrior::Kl)
-    }
 }
 
 impl KlDetector {
-    /// The batch analysis over fully accumulated histogram state. When
-    /// a carried prior is supplied, the per-feature divergence
-    /// baselines are EWMA-blended with it before thresholding; the
-    /// blended baselines are returned as the next day's prior either
-    /// way.
+    /// This tuning's analysis over the accumulated histogram state
+    /// (read only). When a carried prior is supplied, the per-feature
+    /// divergence baselines are EWMA-blended with it before
+    /// thresholding; the blended baselines are returned as the next
+    /// day's prior either way.
     fn finish_analysis(
         &self,
-        window: TimeWindow,
-        t_bins: usize,
-        hists: &[Vec<Histogram>],
-        bin_tuples: &[HashMap<PacketTuple, u32>],
+        acc: &KlAccumulator,
         warm: Option<(&KlPrior, f64)>,
     ) -> (Vec<Alarm>, KlPrior) {
+        let KlAccumulator {
+            window,
+            t_bins,
+            hists,
+            bin_tuples,
+            ..
+        } = acc;
+        let (window, t_bins, bin_us) = (*window, *t_bins, acc.geometry.bin_us);
         let mut alarms = Vec::new();
         let mut export = KlPrior::default();
         let mut seen: HashSet<(usize, mawilab_model::TrafficRule)> = HashSet::new();
@@ -345,8 +344,8 @@ impl KlDetector {
                 }
                 let mined = mine_rules(&suspicious, self.min_support);
                 let bin_window = TimeWindow::new(
-                    window.start_us + t as u64 * self.bin_us,
-                    (window.start_us + (t as u64 + 1) * self.bin_us).min(window.end_us),
+                    window.start_us + t as u64 * bin_us,
+                    (window.start_us + (t as u64 + 1) * bin_us).min(window.end_us),
                 );
                 for (rule, _count) in mined.rules {
                     if rule.degree() == 0 {
@@ -454,7 +453,7 @@ mod tests {
         let (alarms, _) = run(Tuning::Sensitive, flood());
         let d = KlDetector::new(Tuning::Sensitive);
         for a in &alarms {
-            assert!(a.window.len_us() <= d.bin_us);
+            assert!(a.window.len_us() <= d.histograms.bin_us);
         }
     }
 

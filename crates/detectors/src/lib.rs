@@ -16,6 +16,22 @@
 //! *configurations* whose votes the combiner consumes.
 //! [`standard_configurations`] builds all twelve.
 //!
+//! A tuning changes only values read after the trace is accumulated
+//! (PCA's `k` and threshold, Gamma's λ, Hough's pixel and line
+//! thresholds, KL's λ and top cells), so each family is split in two:
+//! a tuning-independent [`Accumulator`], begun from an
+//! [`AccumulatorSpec`] and fed chunk by chunk, and a per-tuning
+//! [`Detector::finish`] that reads it without changing it. Three
+//! drivers put the halves together, all over the same code:
+//!
+//! * [`FamilyRun`] — the production path: one accumulator per family
+//!   (4 packet walks per chunk for the standard set, not 12) and 12
+//!   tuned finishes;
+//! * [`Detector::incremental`] — one configuration over its own
+//!   accumulator, chunk by chunk: the oracle `FamilyRun` is pinned to;
+//! * [`Detector::analyze`] / [`run_all`] — the batch form, the whole
+//!   trace as one chunk, per configuration.
+//!
 //! Granularity diversity is the whole point: these alarm types cannot
 //! be compared naively, which is what motivates the similarity
 //! estimator (`mawilab-similarity`).
@@ -95,54 +111,119 @@ impl<'a> ChunkView<'a> {
     }
 }
 
-/// The incremental (streaming) form of a detector configuration.
+/// The tuning-independent parameters of one family's accumulator: the
+/// sketch, picture or histogram geometry its `observe` reads.
+/// Configurations whose specs are equal accumulate identical state, so
+/// a [`FamilyRun`] gives them one accumulator.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum AccumulatorSpec {
+    /// PCA sketch geometry.
+    Pca(pca::PcaSketch),
+    /// Gamma sketch geometry.
+    Gamma(gamma::GammaSketch),
+    /// Hough picture geometry.
+    Hough(hough::HoughPictures),
+    /// KL histogram geometry.
+    Kl(kl::KlHistograms),
+}
+
+impl AccumulatorSpec {
+    /// Starts an accumulator over one trace. The accumulator exists
+    /// only from here on, so it can never be fed before it has a
+    /// window.
+    pub fn begin(&self, meta: &TraceMeta) -> Accumulator {
+        match self {
+            AccumulatorSpec::Pca(s) => Accumulator::Pca(s.begin(meta)),
+            AccumulatorSpec::Gamma(s) => Accumulator::Gamma(s.begin(meta)),
+            AccumulatorSpec::Hough(s) => Accumulator::Hough(s.begin(meta)),
+            AccumulatorSpec::Kl(s) => Accumulator::Kl(s.begin(meta)),
+        }
+    }
+}
+
+/// The per-trace state of one detector family, shared by every tuning
+/// of it: count matrices, series, pictures or histograms, keyed by
+/// absolute time bin. Accumulated state is chunk-boundary invariant,
+/// so any chunking of the same packet sequence — including the whole
+/// trace as a single chunk — accumulates the same state.
+pub enum Accumulator {
+    /// PCA sketch counts.
+    Pca(pca::PcaAccumulator),
+    /// Gamma per-direction count series.
+    Gamma(gamma::GammaAccumulator),
+    /// Hough pictures with their flow sets.
+    Hough(hough::HoughAccumulator),
+    /// KL histograms and per-bin tuple counts.
+    Kl(kl::KlAccumulator),
+}
+
+impl Accumulator {
+    /// Folds one chunk of packets into the state.
+    pub fn observe(&mut self, chunk: &ChunkView<'_>) {
+        match self {
+            Accumulator::Pca(a) => a.observe(chunk),
+            Accumulator::Gamma(a) => a.observe(chunk),
+            Accumulator::Hough(a) => a.observe(chunk),
+            Accumulator::Kl(a) => a.observe(chunk),
+        }
+    }
+}
+
+/// What one configuration's finish produced.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Finished {
+    /// The configuration's alarms.
+    pub alarms: Vec<Alarm>,
+    /// The updated baseline to carry into the next day. `None` when the
+    /// family has no warm support (Hough) or the day produced no state
+    /// to carry (empty or too-short trace) — the caller then keeps its
+    /// previous prior.
+    pub prior: Option<DetectorPrior>,
+}
+
+/// The prior a finish blends with: `None` unless there is a prior and
+/// `decay > 0`. Zero decay is an exact cold start (see [`warm`]).
+fn warm_prior(prior: Option<&DetectorPrior>, decay: f64) -> Option<(&DetectorPrior, f64)> {
+    prior.filter(|_| decay > 0.0).map(|p| (p, decay))
+}
+
+/// A traffic anomaly detector with one fixed parameter set
+/// (a *configuration* in the paper's terminology).
 ///
-/// Lifecycle: one [`begin`](IncrementalDetector::begin), any number of
-/// [`observe`](IncrementalDetector::observe) calls over consecutive
-/// chunks, one [`finish`](IncrementalDetector::finish). Accumulated
-/// state is chunk-boundary invariant, so any chunking of the same
-/// packet sequence — including the whole trace as a single chunk —
-/// produces identical alarms.
-pub trait IncrementalDetector: Send {
+/// A configuration is split in two: the family
+/// [`accumulator`](Detector::accumulator) it folds packets into, which
+/// the three tunings of a family share, and its tuned
+/// [`finish`](Detector::finish), a read-only function of that state.
+/// [`analyze`](Detector::analyze), [`incremental`](Detector::incremental)
+/// and [`FamilyRun`] are the only drivers, so batch and streaming runs
+/// share one implementation and cannot drift apart.
+pub trait Detector: Send + Sync {
     /// Which of the four detector families this configuration is.
     fn kind(&self) -> DetectorKind;
 
     /// The tuning of this configuration.
     fn tuning(&self) -> Tuning;
 
-    /// Prepares per-trace state (time-bin counts etc.) from the
-    /// trace metadata.
-    fn begin(&mut self, meta: &TraceMeta);
+    /// The accumulator this configuration reads at finish.
+    fn accumulator(&self) -> AccumulatorSpec;
 
-    /// Folds one chunk of packets into the accumulated state.
-    fn observe(&mut self, chunk: &ChunkView<'_>);
+    /// Runs this tuning's analysis over an accumulator begun from
+    /// [`accumulator`](Detector::accumulator) and fed the whole trace.
+    /// `warm` is the carried prior and its decay weight: its family's
+    /// baselines are EWMA-blended with it (see [`warm`]); `None` is a
+    /// cold start. An accumulator of another family yields nothing.
+    fn finish(&self, acc: &Accumulator, warm: Option<(&DetectorPrior, f64)>) -> Finished;
 
-    /// Runs the analysis over the accumulated state and reports
-    /// alarms. The detector is spent afterwards; call
-    /// [`begin`](IncrementalDetector::begin) to reuse it.
-    fn finish(&mut self) -> Vec<Alarm>;
+    /// Builds the per-configuration streaming form of this
+    /// configuration: its own accumulator plus its finish.
+    fn incremental(&self) -> Box<dyn IncrementalDetector>;
 
-    /// Warm-started [`begin`](IncrementalDetector::begin): the
-    /// detector's internal baselines start from an
-    /// exponentially-decaying prior carried from previous days (see
-    /// [`warm`]) instead of being re-estimated from scratch.
-    ///
-    /// The default ignores the prior and delegates to `begin` — a
-    /// detector without warm support (Hough) simply runs cold. Every
-    /// implementation must treat `decay == 0.0` or a `None`/
-    /// shape-mismatched prior as an exact cold start (byte-identical
-    /// alarms).
-    fn warm_begin(&mut self, meta: &TraceMeta, prior: Option<&DetectorPrior>, decay: f64) {
-        let _ = (prior, decay);
-        self.begin(meta);
-    }
-
-    /// The updated baseline to carry into the next day, available
-    /// after [`finish`](IncrementalDetector::finish). `None` when the
-    /// detector has no warm support or the day produced no state to
-    /// carry (empty trace) — the caller then keeps its previous prior.
-    fn export_prior(&mut self) -> Option<DetectorPrior> {
-        None
+    /// Analyzes a trace and reports alarms: the whole trace as one
+    /// chunk through this configuration's own accumulator.
+    fn analyze(&self, view: &TraceView<'_>) -> Vec<Alarm> {
+        let mut acc = self.accumulator().begin(&view.trace.meta);
+        acc.observe(&ChunkView::whole_trace(view.trace));
+        self.finish(&acc, None).alarms
     }
 
     /// Unique label, e.g. `"Gamma/sensitive"`.
@@ -151,34 +232,114 @@ pub trait IncrementalDetector: Send {
     }
 }
 
-/// A traffic anomaly detector with one fixed parameter set
-/// (a *configuration* in the paper's terminology).
+/// The streaming form of one detector configuration: an adapter that
+/// owns a private family accumulator and runs the configuration's
+/// finish over it. [`FamilyRun`] is the multi-configuration form,
+/// sharing one accumulator per family.
 ///
-/// The batch entry point [`analyze`](Detector::analyze) is a thin
-/// adapter over the incremental form: it feeds the whole trace as one
-/// chunk through [`incremental`](Detector::incremental), so batch and
-/// streaming runs share one implementation and cannot drift apart.
-pub trait Detector: Send + Sync {
+/// Lifecycle: one [`begin`](IncrementalDetector::begin) (or
+/// [`warm_begin`](IncrementalDetector::warm_begin)), any number of
+/// [`observe`](IncrementalDetector::observe) calls over consecutive
+/// chunks, one [`finish`](IncrementalDetector::finish). `observe`
+/// before `begin` does nothing and `finish` before `begin` reports no
+/// alarms.
+pub trait IncrementalDetector: Send {
     /// Which of the four detector families this configuration is.
     fn kind(&self) -> DetectorKind;
 
     /// The tuning of this configuration.
     fn tuning(&self) -> Tuning;
 
-    /// Builds the incremental (streaming) form of this configuration.
-    fn incremental(&self) -> Box<dyn IncrementalDetector>;
+    /// Starts a fresh accumulator from the trace metadata.
+    fn begin(&mut self, meta: &TraceMeta);
 
-    /// Analyzes a trace and reports alarms.
-    fn analyze(&self, view: &TraceView<'_>) -> Vec<Alarm> {
-        let mut inc = self.incremental();
-        inc.begin(&view.trace.meta);
-        inc.observe(&ChunkView::whole_trace(view.trace));
-        inc.finish()
-    }
+    /// Folds one chunk of packets into the accumulated state.
+    fn observe(&mut self, chunk: &ChunkView<'_>);
+
+    /// Runs the analysis over the accumulated state and reports
+    /// alarms. The accumulator is spent afterwards; call
+    /// [`begin`](IncrementalDetector::begin) to reuse the detector.
+    fn finish(&mut self) -> Vec<Alarm>;
+
+    /// Warm-started [`begin`](IncrementalDetector::begin): the finish
+    /// blends its baselines with an exponentially-decaying prior
+    /// carried from previous days (see [`warm`]). `decay == 0.0` or a
+    /// `None`/shape-mismatched prior is an exact cold start
+    /// (byte-identical alarms); Hough has no warm support and always
+    /// runs cold.
+    fn warm_begin(&mut self, meta: &TraceMeta, prior: Option<&DetectorPrior>, decay: f64);
+
+    /// The updated baseline to carry into the next day, available
+    /// after [`finish`](IncrementalDetector::finish) (see
+    /// [`Finished::prior`]).
+    fn export_prior(&mut self) -> Option<DetectorPrior>;
 
     /// Unique label, e.g. `"Gamma/sensitive"`.
     fn label(&self) -> String {
         format!("{}/{}", self.kind(), self.tuning())
+    }
+}
+
+/// The one [`IncrementalDetector`] implementation: one configuration
+/// over its own accumulator.
+pub(crate) struct ConfigRun<D> {
+    det: D,
+    acc: Option<Accumulator>,
+    /// Carried prior + decay; `None` = cold start.
+    warm: Option<(DetectorPrior, f64)>,
+    /// Filled by `finish` for `export_prior`.
+    export: Option<DetectorPrior>,
+}
+
+impl<D: Detector> ConfigRun<D> {
+    pub(crate) fn new(det: D) -> Self {
+        ConfigRun {
+            det,
+            acc: None,
+            warm: None,
+            export: None,
+        }
+    }
+}
+
+impl<D: Detector> IncrementalDetector for ConfigRun<D> {
+    fn kind(&self) -> DetectorKind {
+        self.det.kind()
+    }
+
+    fn tuning(&self) -> Tuning {
+        self.det.tuning()
+    }
+
+    fn begin(&mut self, meta: &TraceMeta) {
+        self.acc = Some(self.det.accumulator().begin(meta));
+        self.warm = None;
+        self.export = None;
+    }
+
+    fn observe(&mut self, chunk: &ChunkView<'_>) {
+        if let Some(acc) = &mut self.acc {
+            acc.observe(chunk);
+        }
+    }
+
+    fn finish(&mut self) -> Vec<Alarm> {
+        let Some(acc) = self.acc.take() else {
+            return Vec::new();
+        };
+        let warm = self.warm.as_ref().map(|(p, w)| (p, *w));
+        let done = self.det.finish(&acc, warm);
+        self.export = done.prior;
+        done.alarms
+    }
+
+    fn warm_begin(&mut self, meta: &TraceMeta, prior: Option<&DetectorPrior>, decay: f64) {
+        self.begin(meta);
+        self.warm = warm_prior(prior, decay).map(|(p, w)| (p.clone(), w));
+    }
+
+    fn export_prior(&mut self) -> Option<DetectorPrior> {
+        self.export.take()
     }
 }
 
@@ -211,17 +372,108 @@ pub fn run_all(configs: &[Box<dyn Detector>], view: &TraceView<'_>) -> Vec<Alarm
     mawilab_exec::par_map(configs, |c| c.analyze(view)).concat()
 }
 
-/// Folds one chunk into every incremental configuration, in parallel
-/// across configurations (the chunk is shared read-only).
-pub fn observe_all(configs: &mut [Box<dyn IncrementalDetector>], chunk: &ChunkView<'_>) {
-    mawilab_exec::par_for_each_mut(configs, |c| c.observe(chunk));
+/// Chunks below this packet count are observed inline rather than
+/// fanned out over the accumulators: a fan-out is a scoped-thread
+/// round per call, and for near-empty chunks (narrow chunk widths,
+/// quiet periods) the spawn/join barrier would dwarf the detector work
+/// itself. The cutover is by chunk size only — never by thread count —
+/// so output stays identical at any `MAWILAB_THREADS` setting
+/// (accumulators are independent; only the schedule changes).
+const FANOUT_MIN_CHUNK_PACKETS: usize = 1024;
+
+/// A set of configurations streamed over one trace with one
+/// accumulator per family: configurations whose
+/// [`accumulator`](Detector::accumulator) specs are equal share one, so
+/// the paper's 12 standard configurations walk each packet 4 times,
+/// not 12, and hold one copy of each family's state. Every
+/// configuration's finish then reads its family's state, read only.
+///
+/// Alarms and exported priors equal independent per-configuration
+/// [`IncrementalDetector`] runs, byte for byte.
+pub struct FamilyRun<'a> {
+    configs: &'a [Box<dyn Detector>],
+    accumulators: Vec<Accumulator>,
+    /// Index into `accumulators` of each configuration's accumulator.
+    shared: Vec<usize>,
 }
 
-/// Finishes every incremental configuration, returning the
-/// concatenated alarms in configuration order — the same order
-/// [`run_all`] concatenates batch results in.
-pub fn finish_all(configs: &mut [Box<dyn IncrementalDetector>]) -> Vec<Alarm> {
-    mawilab_exec::par_map_mut(configs, |c| c.finish()).concat()
+/// What a [`FamilyRun`] finish produced, in configuration order.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct FamilyFinish {
+    /// Every configuration's alarms, concatenated in configuration
+    /// order — the order [`run_all`] concatenates batch results in.
+    pub alarms: Vec<Alarm>,
+    /// Each configuration's label and exported prior.
+    pub priors: Vec<(String, Option<DetectorPrior>)>,
+}
+
+impl<'a> FamilyRun<'a> {
+    /// Groups `configs` into family accumulators and begins each over
+    /// the trace.
+    pub fn begin(configs: &'a [Box<dyn Detector>], meta: &TraceMeta) -> Self {
+        let mut specs: Vec<AccumulatorSpec> = Vec::new();
+        let shared = configs
+            .iter()
+            .map(|c| {
+                let spec = c.accumulator();
+                specs.iter().position(|s| *s == spec).unwrap_or_else(|| {
+                    specs.push(spec);
+                    specs.len() - 1
+                })
+            })
+            .collect();
+        FamilyRun {
+            configs,
+            accumulators: specs.iter().map(|s| s.begin(meta)).collect(),
+            shared,
+        }
+    }
+
+    /// Number of accumulators the configurations were grouped into.
+    pub fn accumulator_count(&self) -> usize {
+        self.accumulators.len()
+    }
+
+    /// Folds one chunk into every accumulator, in parallel across
+    /// accumulators (the chunk is shared read-only) unless the chunk is
+    /// small.
+    pub fn observe(&mut self, chunk: &ChunkView<'_>) {
+        if chunk.packets.len() < FANOUT_MIN_CHUNK_PACKETS {
+            for acc in &mut self.accumulators {
+                acc.observe(chunk);
+            }
+        } else {
+            mawilab_exec::par_for_each_mut(&mut self.accumulators, |acc| acc.observe(chunk));
+        }
+    }
+
+    /// Runs every configuration's finish over its family's state, in
+    /// parallel across configurations. `prior_for` looks up the prior
+    /// carried under a configuration's label; `decay` is its weight
+    /// (`0.0`, or no prior, is a cold start).
+    pub fn finish<'p>(
+        self,
+        prior_for: impl Fn(&str) -> Option<&'p DetectorPrior>,
+        decay: f64,
+    ) -> FamilyFinish {
+        let jobs: Vec<_> = self
+            .configs
+            .iter()
+            .zip(&self.shared)
+            .map(|(c, &a)| {
+                let label = c.label();
+                let warm = warm_prior(prior_for(&label), decay);
+                (c.as_ref(), &self.accumulators[a], warm, label)
+            })
+            .collect();
+        let done = mawilab_exec::par_map(&jobs, |(c, acc, warm, _)| c.finish(acc, *warm));
+        let mut out = FamilyFinish::default();
+        for ((.., label), finished) in jobs.into_iter().zip(done) {
+            out.alarms.extend(finished.alarms);
+            out.priors.push((label, finished.prior));
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -256,7 +508,7 @@ mod tests {
         let configs = standard_configurations();
         let par = run_all(&configs, &view);
         let seq: Vec<Alarm> = configs.iter().flat_map(|c| c.analyze(&view)).collect();
-        assert_eq!(par.len(), seq.len());
+        assert_eq!(par, seq);
     }
 
     #[test]
@@ -407,7 +659,7 @@ mod tests {
     }
 
     #[test]
-    fn observe_and_finish_all_match_run_all() {
+    fn family_run_matches_run_all() {
         use mawilab_model::{PacketSource, TraceChunker};
         let lt = TraceGenerator::new(SynthConfig::default().with_seed(7)).generate();
         let flows = mawilab_model::FlowTable::build(&lt.trace.packets);
@@ -415,15 +667,29 @@ mod tests {
         let configs = standard_configurations();
         let batch = run_all(&configs, &view);
 
-        let mut incs: Vec<Box<dyn IncrementalDetector>> =
-            configs.iter().map(|c| c.incremental()).collect();
-        for inc in &mut incs {
-            inc.begin(&lt.trace.meta);
-        }
+        let mut run = FamilyRun::begin(&configs, &lt.trace.meta);
+        assert_eq!(run.accumulator_count(), 4, "one accumulator per family");
         let mut source = TraceChunker::new(lt.trace.clone(), 5_000_000);
         while let Some(chunk) = source.next_chunk().unwrap() {
-            observe_all(&mut incs, &ChunkView::of_chunk(&lt.trace.meta, chunk));
+            run.observe(&ChunkView::of_chunk(&lt.trace.meta, chunk));
         }
-        assert_eq!(finish_all(&mut incs), batch);
+        let done = run.finish(|_| None, 0.0);
+        assert_eq!(done.alarms, batch);
+        let labels: Vec<String> = configs.iter().map(|c| c.label()).collect();
+        let finished: Vec<&String> = done.priors.iter().map(|(l, _)| l).collect();
+        assert_eq!(finished, labels.iter().collect::<Vec<_>>());
+    }
+
+    /// The per-configuration adapter tolerates misuse without a panic:
+    /// observe before begin is a no-op, finish before begin is silent.
+    #[test]
+    fn adapter_before_begin_is_inert() {
+        let lt = TraceGenerator::new(SynthConfig::default().with_seed(7)).generate();
+        for config in standard_configurations() {
+            let mut inc = config.incremental();
+            inc.observe(&ChunkView::whole_trace(&lt.trace));
+            assert!(inc.finish().is_empty(), "{}", config.label());
+            assert!(inc.export_prior().is_none(), "{}", config.label());
+        }
     }
 }

@@ -22,7 +22,9 @@
 
 use crate::alarm::{Alarm, AlarmScope, DetectorKind, Tuning};
 use crate::warm::{blend, DetectorPrior, PcaPrior, PcaRowPrior};
-use crate::{ChunkView, Detector, IncrementalDetector};
+use crate::{
+    Accumulator, AccumulatorSpec, ChunkView, ConfigRun, Detector, Finished, IncrementalDetector,
+};
 use mawilab_linalg::pca::{ColumnScaling, PcaComponents};
 use mawilab_linalg::{Matrix, Pca};
 use mawilab_model::{TimeWindow, TraceMeta};
@@ -31,22 +33,29 @@ use mawilab_stats::{mad, median};
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 
-/// The sketch + principal-subspace detector (one configuration).
-#[derive(Debug, Clone)]
-pub struct PcaDetector {
-    tuning: Tuning,
+/// The sketch geometry of the PCA family: everything the accumulator
+/// reads while observing. The three tunings share it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PcaSketch {
     /// Time-bin width in microseconds.
     bin_us: u64,
     /// Sketch width (bins per hash row).
     sketch_width: usize,
     /// Independent hash rows.
     sketch_rows: usize,
+    /// Hash-family seed (fixed: detectors must be reproducible).
+    seed: u64,
+}
+
+/// The sketch + principal-subspace detector (one configuration).
+#[derive(Debug, Clone)]
+pub struct PcaDetector {
+    tuning: Tuning,
+    sketch: PcaSketch,
     /// Principal components retained (normal subspace dimension).
     components: usize,
     /// Threshold multiplier over residual mean/stddev.
     threshold: f64,
-    /// Hash-family seed (fixed: detectors must be reproducible).
-    seed: u64,
 }
 
 impl PcaDetector {
@@ -63,12 +72,14 @@ impl PcaDetector {
         };
         PcaDetector {
             tuning,
-            bin_us: 2_000_000,
-            sketch_width: 24,
-            sketch_rows: 3,
+            sketch: PcaSketch {
+                bin_us: 2_000_000,
+                sketch_width: 24,
+                sketch_rows: 3,
+                seed: 0x50CA_0001,
+            },
             components,
             threshold,
-            seed: 0x50CA_0001,
         }
     }
 }
@@ -138,82 +149,89 @@ impl Detector for PcaDetector {
         self.tuning
     }
 
-    fn incremental(&self) -> Box<dyn IncrementalDetector> {
-        Box::new(PcaAccumulator {
-            det: self.clone(),
-            window: None,
-            t_bins: 0,
-            seen: 0,
-            sketch: None,
-            counts: Vec::new(),
-            active: Vec::new(),
-            warm: None,
-            export: None,
-        })
-    }
-}
-
-/// Incremental form of [`PcaDetector`]: chunk observation folds
-/// packets into per-row time×bin count matrices keyed by absolute
-/// time bin; the robust subspace fit and sketch reversal run once at
-/// finish.
-pub struct PcaAccumulator {
-    det: PcaDetector,
-    window: Option<TimeWindow>,
-    t_bins: usize,
-    seen: u64,
-    sketch: Option<SketchFamily>,
-    counts: Vec<Matrix>,
-    active: Vec<HashSet<u32>>,
-    /// Carried baselines + decay weight; `None` = cold start.
-    warm: Option<(PcaPrior, f64)>,
-    /// Updated baselines, filled by `finish` for `export_prior`.
-    export: Option<PcaPrior>,
-}
-
-impl IncrementalDetector for PcaAccumulator {
-    fn kind(&self) -> DetectorKind {
-        DetectorKind::Pca
+    fn accumulator(&self) -> AccumulatorSpec {
+        AccumulatorSpec::Pca(self.sketch.clone())
     }
 
-    fn tuning(&self) -> Tuning {
-        self.det.tuning
-    }
-
-    fn begin(&mut self, meta: &TraceMeta) {
-        let window = meta.window();
-        self.window = Some(window);
-        self.t_bins = (window.len_us() / self.det.bin_us) as usize;
-        self.seen = 0;
-        self.warm = None;
-        self.export = None;
-        if self.t_bins < 4 {
-            self.sketch = None;
-            self.counts = Vec::new();
-            self.active = Vec::new();
-        } else {
-            self.sketch = Some(SketchFamily::new(
-                self.det.sketch_rows,
-                self.det.sketch_width,
-                self.det.seed,
-            ));
-            self.counts =
-                vec![Matrix::zeros(self.t_bins, self.det.sketch_width); self.det.sketch_rows];
-            self.active = vec![HashSet::new(); self.t_bins];
+    fn finish(&self, acc: &Accumulator, warm: Option<(&DetectorPrior, f64)>) -> Finished {
+        let Accumulator::Pca(acc) = acc else {
+            return Finished::default();
+        };
+        let warm = warm.and_then(|(p, w)| match p {
+            DetectorPrior::Pca(p) => Some((p, w)),
+            _ => None,
+        });
+        match self.finish_analysis(acc, warm) {
+            Some((alarms, export)) => Finished {
+                alarms,
+                prior: Some(DetectorPrior::Pca(export)),
+            },
+            None => Finished::default(),
         }
     }
 
-    fn observe(&mut self, chunk: &ChunkView<'_>) {
+    fn incremental(&self) -> Box<dyn IncrementalDetector> {
+        Box::new(ConfigRun::new(self.clone()))
+    }
+}
+
+impl PcaSketch {
+    /// Starts the family accumulator over one trace.
+    pub fn begin(&self, meta: &TraceMeta) -> PcaAccumulator {
+        let window = meta.window();
+        let t_bins = (window.len_us() / self.bin_us) as usize;
+        let (sketch, counts, active) = if t_bins < 4 {
+            (None, Vec::new(), Vec::new())
+        } else {
+            (
+                Some(SketchFamily::new(
+                    self.sketch_rows,
+                    self.sketch_width,
+                    self.seed,
+                )),
+                vec![Matrix::zeros(t_bins, self.sketch_width); self.sketch_rows],
+                vec![HashSet::new(); t_bins],
+            )
+        };
+        PcaAccumulator {
+            geometry: self.clone(),
+            window,
+            t_bins,
+            seen: 0,
+            sketch,
+            counts,
+            active,
+        }
+    }
+}
+
+/// The PCA family accumulator: chunk observation folds packets into
+/// per-row time×bin count matrices keyed by absolute time bin; every
+/// tuning's robust subspace fit and sketch reversal read it at finish.
+pub struct PcaAccumulator {
+    geometry: PcaSketch,
+    window: TimeWindow,
+    t_bins: usize,
+    seen: u64,
+    /// `None` when the trace is too short to analyse.
+    sketch: Option<SketchFamily>,
+    counts: Vec<Matrix>,
+    active: Vec<HashSet<u32>>,
+}
+
+impl PcaAccumulator {
+    /// Folds one chunk of packets into the count matrices.
+    pub fn observe(&mut self, chunk: &ChunkView<'_>) {
         let Some(sketch) = &self.sketch else { return };
-        let window = self.window.expect("observe before begin"); // lint:allow(panic-free-data-plane): begin() runs before observe() in the chunk driver
+        let (start_us, bin_us) = (self.window.start_us, self.geometry.bin_us);
         self.seen += chunk.packets.len() as u64;
         for p in chunk.packets {
             // Packets stamped outside the nominal window (clock skew
             // in real captures) are skipped.
-            let Some(dt) = p.ts_us.checked_sub(window.start_us) else {
+            let Some(dt) = p.ts_us.checked_sub(start_us) else {
                 continue;
             };
-            let t = (dt / self.det.bin_us) as usize;
+            let t = (dt / bin_us) as usize;
             if t >= self.t_bins {
                 continue;
             }
@@ -224,60 +242,40 @@ impl IncrementalDetector for PcaAccumulator {
             self.active[t].insert(u32::from(p.src));
         }
     }
-
-    fn finish(&mut self) -> Vec<Alarm> {
-        let (Some(sketch), Some(window)) = (&self.sketch, self.window) else {
-            return Vec::new();
-        };
-        if self.seen == 0 {
-            return Vec::new();
-        }
-        let warm = self.warm.as_ref().map(|(p, w)| (p, *w));
-        let (alarms, export) = self.det.finish_analysis(
-            sketch,
-            window,
-            self.t_bins,
-            &self.counts,
-            &self.active,
-            warm,
-        );
-        self.export = Some(export);
-        alarms
-    }
-
-    fn warm_begin(&mut self, meta: &TraceMeta, prior: Option<&DetectorPrior>, decay: f64) {
-        self.begin(meta);
-        if decay > 0.0 {
-            if let Some(DetectorPrior::Pca(p)) = prior {
-                self.warm = Some((p.clone(), decay));
-            }
-        }
-    }
-
-    fn export_prior(&mut self) -> Option<DetectorPrior> {
-        self.export.take().map(DetectorPrior::Pca)
-    }
 }
 
 impl PcaDetector {
-    /// The batch analysis over fully accumulated sketch state. When a
-    /// carried prior is supplied, the per-row baselines (energy
-    /// median/MAD, coordinate spreads) are EWMA-blended with it before
-    /// thresholding; the blended baselines are returned as the next
-    /// day's prior either way.
-    #[allow(clippy::too_many_arguments)]
+    /// This tuning's analysis over the accumulated sketch state (read
+    /// only). When a carried prior is supplied, the per-row baselines
+    /// (energy median/MAD, coordinate spreads) are EWMA-blended with it
+    /// before thresholding; the blended baselines are returned as the
+    /// next day's prior either way. `None` when the trace was too short
+    /// or empty.
     fn finish_analysis(
         &self,
-        sketch: &SketchFamily,
-        window: TimeWindow,
-        t_bins: usize,
-        counts: &[Matrix],
-        active: &[HashSet<u32>],
+        acc: &PcaAccumulator,
         warm: Option<(&PcaPrior, f64)>,
-    ) -> (Vec<Alarm>, PcaPrior) {
+    ) -> Option<(Vec<Alarm>, PcaPrior)> {
+        let PcaAccumulator {
+            geometry,
+            window,
+            t_bins,
+            seen,
+            sketch,
+            counts,
+            active,
+        } = acc;
+        let sketch = sketch.as_ref().filter(|_| *seen > 0)?;
+        let (window, t_bins) = (*window, *t_bins);
+        let PcaSketch {
+            bin_us,
+            sketch_width,
+            sketch_rows,
+            ..
+        } = *geometry;
         // Per row: subspace fit → flagged (time, bin) pairs.
         // flagged[row][t] = boolean bin vector (empty Vec = untouched).
-        let mut flagged: Vec<Vec<Vec<bool>>> = vec![vec![Vec::new(); t_bins]; self.sketch_rows];
+        let mut flagged: Vec<Vec<Vec<bool>>> = vec![vec![Vec::new(); t_bins]; sketch_rows];
         let mut bin_scores = vec![0.0f64; t_bins];
         let mut export = PcaPrior::default();
         for (row, m) in counts.iter().enumerate() {
@@ -291,7 +289,7 @@ impl PcaDetector {
             // per-coordinate spreads for localisation.
             let e_med = median(&energies);
             let e_mad = mad(&energies).max(1e-9);
-            let coord_sigma: Vec<f64> = (0..self.sketch_width)
+            let coord_sigma: Vec<f64> = (0..sketch_width)
                 .map(|j| {
                     let col: Vec<f64> = residuals.iter().map(|e| e[j]).collect();
                     mad(&col)
@@ -301,7 +299,7 @@ impl PcaDetector {
             // (shape-checked); cold runs keep today's values bitwise.
             let prior_row = warm
                 .and_then(|(p, _)| p.rows.get(row))
-                .filter(|pr| pr.coord_sigma.len() == self.sketch_width);
+                .filter(|pr| pr.coord_sigma.len() == sketch_width);
             let (e_med, e_mad, coord_sigma) = match (prior_row, warm) {
                 (Some(pr), Some((_, w))) => (
                     blend(e_med, pr.e_med, w),
@@ -326,9 +324,9 @@ impl PcaDetector {
                 if energies[t] <= q_thr || q_thr == 0.0 {
                     continue;
                 }
-                let mut bins = vec![false; self.sketch_width];
+                let mut bins = vec![false; sketch_width];
                 let mut any = false;
-                for j in 0..self.sketch_width {
+                for j in 0..sketch_width {
                     if coord_sigma[j] > 0.0
                         && residuals[t][j].abs() > self.threshold * coord_sigma[j]
                     {
@@ -350,9 +348,8 @@ impl PcaDetector {
             if flagged.iter().any(|rows| rows[t].is_empty()) {
                 continue;
             }
-            let flag_vecs: Vec<Vec<bool>> = (0..self.sketch_rows)
-                .map(|r| flagged[r][t].clone())
-                .collect();
+            let flag_vecs: Vec<Vec<bool>> =
+                (0..sketch_rows).map(|r| flagged[r][t].clone()).collect();
             let candidates = active[t].iter().map(|&ip| ip as u64);
             for key in sketch.identify(candidates, &flag_vecs) {
                 per_ip_bins
@@ -376,8 +373,8 @@ impl PcaDetector {
                     detector: DetectorKind::Pca,
                     tuning: self.tuning,
                     window: TimeWindow::new(
-                        window.start_us + s as u64 * self.bin_us,
-                        window.start_us + (e + 1) as u64 * self.bin_us,
+                        window.start_us + s as u64 * bin_us,
+                        window.start_us + (e + 1) as u64 * bin_us,
                     ),
                     scope: AlarmScope::SrcHost(ip),
                     score,
@@ -396,7 +393,7 @@ impl PcaDetector {
             }
             flush(start, prev, score, &mut alarms);
         }
-        (alarms, export)
+        Some((alarms, export))
     }
 }
 
